@@ -21,12 +21,18 @@ Commands:
 * ``perf`` — measure host-side simulator throughput on the pinned
   perf-gate workloads, cached vs. cache-disabled (``--check`` gates
   against a committed baseline, exit status 1 on regression).
+
+Exit status 1 always means "a gate failed"; bad input (an unreadable or
+malformed file, an unknown profile) prints one ``error: ...`` line on
+stderr and exits 2, like an argparse usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+from repro.errors import ReproError
 
 
 def _cmd_demo(_args):
@@ -617,7 +623,11 @@ def main(argv=None):
         "inject": _cmd_inject,
         "perf": _cmd_perf,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (ReproError, OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ exception mechanism — that is the mini-kernel's job.
 
 from __future__ import annotations
 
-from repro import hotpath
 from repro.arch.isa import SP
 from repro.arch.pac import PACEngine
 from repro.arch.registers import (
@@ -29,7 +28,9 @@ from repro.arch.registers import (
 )
 from repro.arch.vmsa import VMSAConfig
 from repro.errors import ReproError, SimFault
+from repro.hotpath import caches_enabled
 from repro.mem.mmu import MMU
+from repro.mem.phys import GENERATION
 
 __all__ = ["CPU", "CYCLES_PER_SECOND", "DecodeCacheStats", "VBAR_OFFSETS"]
 
@@ -127,11 +128,12 @@ class CPU:
         self.irqs_delivered = 0
         #: Host-side decode cache (see repro.hotpath): retired
         #: instructions dispatch through bound handlers keyed by
-        #: (PC, EL), stamped with the MMU's fetch epoch so any write to
-        #: a code page, mapping change or stage-2 update flushes it.
-        #: Purely host-visible — cycle counts and retired streams are
-        #: identical with the cache off (tests/test_diff_cached.py).
-        self._decode_enabled = hotpath.decode_cache_enabled()
+        #: (PC, EL), stamped with GENERATION so any write to a code
+        #: page, mapping change or stage-2 update flushes it.  A
+        #: cache-free core keeps its stamp stale and re-decodes every
+        #: step.  Purely host-visible — cycle counts and retired streams
+        #: are identical with the cache off (tests/test_diff_cached.py).
+        self._decode_enabled = caches_enabled()
         self._decode_cache = {}
         self._decode_stamp = -1
         self.decode_stats = DecodeCacheStats()
@@ -260,12 +262,8 @@ class CPU:
             ):
                 # Banked: MSR targets the currently selected bank.
                 target = self.regs.alt_keys.get(prefix)
-                self.pac.note_key_write(target)
                 setattr(target, half, value & _MASK64)
                 return
-            # Flush MACs cached under the value being replaced — the
-            # key-bank model requires a register write to invalidate.
-            self.pac.note_key_write(self.regs.keys.get(prefix))
         self.regs.write_sysreg(name, value)
 
     def read_sysreg_checked(self, name):
@@ -357,39 +355,33 @@ class CPU:
             return
         pc = self.regs.pc
         try:
-            if self._decode_enabled:
-                epoch = self.mmu.fetch_epoch
-                if epoch != self._decode_stamp:
-                    if self._decode_cache:
-                        self._decode_cache.clear()
-                        self.decode_stats.flushes += 1
-                    self._decode_stamp = epoch
-                key = (pc, self.regs.current_el)
-                entry = self._decode_cache.get(key)
-                if entry is None:
-                    instruction = self.mmu.fetch(pc, self.regs.current_el)
-                    # The bound execute method and the cost are both
-                    # cacheable: cost_on depends only on the immutable
-                    # feature set, and instruction objects are never
-                    # mutated in place (code changes go through
-                    # store/erase_instruction, which bump the epoch).
-                    entry = (
-                        instruction,
-                        instruction.execute,
-                        instruction.cost_on(self),
-                    )
-                    self._decode_cache[key] = entry
-                    self.decode_stats.misses += 1
-                else:
-                    self.decode_stats.hits += 1
-                instruction, execute, cost = entry
-                self.cycles += cost
-                next_pc = execute(self)
-            else:
+            generation = GENERATION.value
+            if generation != self._decode_stamp:
+                if self._decode_cache:
+                    self._decode_cache.clear()
+                    self.decode_stats.flushes += 1
+                self._decode_stamp = generation if self._decode_enabled else -1
+            key = (pc, self.regs.current_el)
+            entry = self._decode_cache.get(key)
+            if entry is None:
                 instruction = self.mmu.fetch(pc, self.regs.current_el)
-                cost = instruction.cost_on(self)
-                self.cycles += cost
-                next_pc = instruction.execute(self)
+                # The bound execute method and the cost are both
+                # cacheable: cost_on depends only on the immutable
+                # feature set, and instruction objects are never
+                # mutated in place (code changes go through
+                # store/erase_instruction, which bump GENERATION).
+                entry = (
+                    instruction,
+                    instruction.execute,
+                    instruction.cost_on(self),
+                )
+                self._decode_cache[key] = entry
+                self.decode_stats.misses += 1
+            else:
+                self.decode_stats.hits += 1
+            instruction, execute, cost = entry
+            self.cycles += cost
+            next_pc = execute(self)
         except SimFault as fault:
             if self.fault_hook is not None and self.fault_hook(self, fault):
                 return

@@ -13,24 +13,24 @@ distinct error code per key class), so that the first dereference takes
 a translation fault.  That indirection is what the paper's brute-force
 mitigation (Section 5.4) hooks: the kernel fault handler counts such
 faults and panics past a threshold.
+
+The engine keeps no MAC cache: QARMA instances are memoised per key
+*value* (:meth:`PACEngine._cipher`) and each instance memoises its own
+encryptions (see :mod:`repro.hotpath`), so a key-register write — or an
+in-place key corruption — simply selects another cipher and can never
+be served a MAC computed under the old key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import hotpath
 from repro.arch.vmsa import VMSAConfig
 from repro.qarma import Qarma64
 
-__all__ = ["PACCacheStats", "PACEngine", "PACResult"]
+__all__ = ["PACEngine", "PACResult"]
 
 _MASK64 = (1 << 64) - 1
-
-#: Bounds on the host-side MAC cache: per-key-value entry count and the
-#: number of distinct key values kept (oldest-first eviction on both).
-_MAC_CACHE_ENTRY_LIMIT = 8192
-_MAC_CACHE_BUCKET_LIMIT = 64
 
 #: Error codes ORed into the extension on failed authentication, per the
 #: architecture: instruction keys flip bit 62 patterns, data keys bit 61.
@@ -43,37 +43,6 @@ class PACResult:
 
     pointer: int
     ok: bool
-
-
-class PACCacheStats:
-    """Counters for the host-side PAC MAC cache.
-
-    ``flushes`` counts key-register writes that dropped a populated
-    bucket (the architectural invalidation events); ``evictions`` counts
-    entries dropped for capacity only.
-    """
-
-    __slots__ = ("hits", "misses", "flushes", "flushed_entries", "evictions")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.flushes = 0
-        self.flushed_entries = 0
-        self.evictions = 0
-
-    @property
-    def lookups(self):
-        return self.hits + self.misses
-
-    def to_dict(self):
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "flushes": self.flushes,
-            "flushed_entries": self.flushed_entries,
-            "evictions": self.evictions,
-        }
 
 
 class PACEngine:
@@ -101,21 +70,8 @@ class PACEngine:
         #: architectural PAC operation, whether it runs on the core or
         #: host-side (boot signing, object initialization).  The
         #: internal AddPAC a failed AuthPAC recomputes is not reported
-        #: separately.  Cache hits/misses/flushes report through the
-        #: same hook with ``cache_*`` ops.
+        #: separately.
         self.trace_hook = None
-        #: Host-side MAC cache (see repro.hotpath): buckets keyed by
-        #: the 128-bit key *value*, each mapping (canonical pointer,
-        #: modifier) -> MAC.  Keying by value (not register identity)
-        #: means even an in-place key corruption — which bypasses the
-        #: MSR path — can never be served a stale MAC; the MSR path
-        #: additionally flushes the replaced value's bucket explicitly
-        #: (:meth:`note_key_write`), which is the invalidation contract
-        #: the key-bank model requires and the staleness regression
-        #: test pins.
-        self._cache_macs = hotpath.pac_cache_enabled()
-        self._mac_cache = {}
-        self.cache_stats = PACCacheStats()
 
     # -- internals -----------------------------------------------------------
 
@@ -142,50 +98,7 @@ class PACEngine:
     def compute_pac(self, pointer, modifier, key):
         """Raw 64-bit MAC over the canonicalised pointer and modifier."""
         canonical = self.config.canonicalize(pointer)
-        modifier &= _MASK64
-        if not self._cache_macs:
-            return self._cipher(key).encrypt(canonical, modifier)
-        stats = self.cache_stats
-        bucket_key = (key.lo, key.hi)
-        bucket = self._mac_cache.get(bucket_key)
-        if bucket is None:
-            if len(self._mac_cache) >= _MAC_CACHE_BUCKET_LIMIT:
-                oldest = next(iter(self._mac_cache))
-                stats.evictions += len(self._mac_cache.pop(oldest))
-            bucket = self._mac_cache[bucket_key] = {}
-        mac = bucket.get((canonical, modifier))
-        if mac is None:
-            stats.misses += 1
-            if self.trace_hook is not None:
-                self.trace_hook("cache_miss", True)
-            mac = self._cipher(key).encrypt(canonical, modifier)
-            if len(bucket) >= _MAC_CACHE_ENTRY_LIMIT:
-                bucket.pop(next(iter(bucket)))
-                stats.evictions += 1
-            bucket[(canonical, modifier)] = mac
-        else:
-            stats.hits += 1
-            if self.trace_hook is not None:
-                self.trace_hook("cache_hit", True)
-        return mac
-
-    def note_key_write(self, key):
-        """A key register is about to be overwritten: drop its MACs.
-
-        Called by the CPU's MSR path with the key *currently* in the
-        register, before the new value lands.  MACs computed under the
-        outgoing value are flushed, so a PAC cached before a
-        key-register write is never served after it.  (The cache is
-        additionally keyed by value, so this is belt and braces — but
-        the explicit flush is the architectural contract, and the one
-        the counters and trace events make observable.)
-        """
-        bucket = self._mac_cache.pop((key.lo, key.hi), None)
-        if bucket is not None:
-            self.cache_stats.flushes += 1
-            self.cache_stats.flushed_entries += len(bucket)
-            if self.trace_hook is not None:
-                self.trace_hook("cache_flush", True)
+        return self._cipher(key).encrypt(canonical, modifier & _MASK64)
 
     # -- architectural operations ---------------------------------------------
 

@@ -15,9 +15,9 @@ pinned workloads:
 
 Each workload runs twice — caches enabled, then force-disabled via
 :func:`repro.hotpath.disabled_caches` — and the report records both
-throughputs, their ratio (``speedup``), the cache counters, and whether
-the simulated cycle counts matched between the two runs
-(``architectural_match``; the gate hard-fails if they ever diverge).
+throughputs, their ratio (``speedup``), the decode-cache or cipher-memo
+counters, and whether the simulated cycle counts matched between the two
+runs (``architectural_match``; the gate hard-fails if they ever diverge).
 
 **Gating.**  Absolute throughput is a property of the host, so the
 committed baseline normalises it by a ``host_score`` — a fixed
@@ -108,10 +108,7 @@ def _measure_lmbench(iterations):
         "instructions_per_sec": instructions / elapsed,
         "syscalls_per_sec": iterations / elapsed,
         "cycles_per_iteration": cycles_per_iteration,
-        "cache_stats": {
-            "decode": cpu.decode_stats.to_dict(),
-            "pac": cpu.pac.cache_stats.to_dict(),
-        },
+        "cache_stats": {"decode": cpu.decode_stats.to_dict()},
     }
 
 
@@ -131,10 +128,7 @@ def _measure_callbench(iterations):
         "instructions_per_sec": instructions / elapsed,
         "calls_per_sec": iterations / elapsed,
         "cycles_per_iteration": cycles_per_call,
-        "cache_stats": {
-            "decode": cpu.decode_stats.to_dict(),
-            "pac": cpu.pac.cache_stats.to_dict(),
-        },
+        "cache_stats": {"decode": cpu.decode_stats.to_dict()},
     }
 
 
@@ -172,10 +166,7 @@ def _measure_lmbench_profiled(iterations):
         "conserved": bool(
             retired is not None and profiler.total_cycles == retired.total
         ),
-        "cache_stats": {
-            "decode": cpu.decode_stats.to_dict(),
-            "pac": cpu.pac.cache_stats.to_dict(),
-        },
+        "cache_stats": {"decode": cpu.decode_stats.to_dict()},
     }
 
 
@@ -197,13 +188,14 @@ def _measure_pac_engine(operations):
         checksum ^= result.pointer
     elapsed = time.perf_counter() - start
     pac_ops = 2 * operations  # one sign + one authenticate per loop
+    memo = engine._cipher(key).memo_stats
     return {
         "iterations": operations,
         "wall_seconds": elapsed,
         "pac_ops": pac_ops,
         "pac_ops_per_sec": pac_ops / elapsed,
         "checksum": checksum,
-        "cache_stats": {"pac": engine.cache_stats.to_dict()},
+        "cache_stats": {"cipher": memo.to_dict()},
     }
 
 
@@ -231,7 +223,6 @@ def run_perf(iterations=150, pac_operations=3000):
         "schema": SCHEMA_VERSION,
         "python": platform.python_version(),
         "host_score": _calibrate(),
-        "caches": hotpath.snapshot(),
         "workloads": {},
     }
     for name, measure, throughput_field in _WORKLOADS:

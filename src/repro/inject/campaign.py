@@ -62,6 +62,10 @@ DEFAULT_TRIALS = 2
 CANARY_SMASH_SLOT = layout.KERNEL_PERCPU_BASE + 0xE00
 CANARY_VICTIM_SYMBOL = "canary_victim"
 
+#: Extra victims :meth:`CampaignDriver.provoke_pauth_failures` may spend
+#: on unsigned SPs that authenticate by PAC collision (odds 2^-15 each).
+_PAUTH_COLLISION_RETRIES = 4
+
 
 def _canary_panic(cpu):
     raise KernelPanic(
@@ -216,21 +220,26 @@ class CampaignDriver:
         """Take ``count`` real PAuth-signature faults (Section 5.4 food).
 
         Each round switches to a task whose saved SP carries no valid
-        PAC; the AUTDB poisons it and the next stack touch faults.
+        PAC; the AUTDB poisons it and the next stack touch faults.  An
+        unsigned SP can still authenticate when its PAC field happens
+        to equal the MAC; such a round takes no fault and is retried
+        with a fresh victim, so only real faults count.
         """
         from repro.kernel.fault import TaskKilled
 
-        for _ in range(count):
+        taken = attempts = 0
+        while taken < count:
+            if attempts == count + _PAUTH_COLLISION_RETRIES:
+                raise ReproError(
+                    "expected a PAuth-signature fault and saw none"
+                )
+            attempts += 1
             victim = self.prepare_switch_target(sign=False)
             self.switch_to(victim)
             try:
                 self.touch_stack()
             except TaskKilled:
-                pass
-            else:
-                raise ReproError(
-                    "expected a PAuth-signature fault and saw none"
-                )
+                taken += 1
             # Back onto a sane stack for the next round.
             self.system.cpu.regs.set_sp_of(1, victim.stack_top)
 

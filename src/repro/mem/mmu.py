@@ -11,20 +11,15 @@ stage-2 table filters by physical frame.
 
 from __future__ import annotations
 
-from repro import hotpath
 from repro.arch.vmsa import AddressKind, VMSAConfig
 from repro.errors import PermissionFault, TranslationFault
+from repro.hotpath import caches_enabled
 from repro.mem.pagetable import Stage1Table, Stage2Table
-from repro.mem.phys import PhysicalMemory
+from repro.mem.phys import GENERATION, PhysicalMemory
 
 __all__ = ["MMU", "AddressSpace"]
 
 _MASK64 = (1 << 64) - 1
-
-#: Shift that keeps the stage-2 *replacement* generation strictly above
-#: any realistic sum of per-table mutation counters, so swapping in a
-#: fresh (low-epoch) stage-2 table can never produce an epoch collision.
-_STRUCTURE_SHIFT = 44
 
 
 class AddressSpace:
@@ -49,19 +44,17 @@ class MMU:
         self.config = config or VMSAConfig()
         self.phys = phys or PhysicalMemory(self.config.page_shift)
         self._stage2 = stage2 or Stage2Table()
-        self._stage2_generation = 0
         self.address_space = AddressSpace(self.config.page_shift)
         self.page_shift = self.config.page_shift
         self.page_size = 1 << self.page_shift
         # Host-side translation cache (see repro.hotpath): successful
-        # (page, access, EL) walks memoised until any table mutates.
+        # (page, access, EL) walks memoised until GENERATION moves.
         # Faults are never cached, so the faulting paths re-walk and
-        # behave identically with the cache on or off.
-        self._cache_walks = hotpath.translate_cache_enabled()
+        # behave identically with the cache on or off.  A cache-free
+        # MMU keeps its stamp stale, so every translate walks.
+        self._cache_walks = caches_enabled()
         self._walk_cache = {}
         self._walk_stamp = -1
-
-    # -- epochs -----------------------------------------------------------------
 
     @property
     def stage2(self):
@@ -69,27 +62,9 @@ class MMU:
 
     @stage2.setter
     def stage2(self, table):
-        # The hypervisor replaces the whole table at enable time; a
-        # fresh table restarts its mutation counter, so bump a separate
-        # structure generation that dominates the composite epoch.
+        # The hypervisor replaces the whole table at enable time.
         self._stage2 = table
-        self._stage2_generation += 1
-
-    @property
-    def translation_epoch(self):
-        """Composite generation of everything a translation depends on."""
-        space = self.address_space
-        return (
-            (self._stage2_generation << _STRUCTURE_SHIFT)
-            + space.user.epoch
-            + space.kernel.epoch
-            + self._stage2.epoch
-        )
-
-    @property
-    def fetch_epoch(self):
-        """Generation of everything an instruction fetch depends on."""
-        return self.translation_epoch + self.phys.code_epoch
+        GENERATION.bump()
 
     # -- translation ------------------------------------------------------------
 
@@ -100,19 +75,17 @@ class MMU:
         architectural behaviour.
         """
         va &= _MASK64
-        if self._cache_walks:
-            epoch = self.translation_epoch
-            if epoch != self._walk_stamp:
-                self._walk_cache.clear()
-                self._walk_stamp = epoch
-            key = (va >> self.page_shift, access, el)
-            base = self._walk_cache.get(key, -1)
-            if base >= 0:
-                return base | (va & (self.page_size - 1))
-            pa = self._translate_walk(va, access, el)
-            self._walk_cache[key] = pa & ~(self.page_size - 1)
-            return pa
-        return self._translate_walk(va, access, el)
+        generation = GENERATION.value
+        if generation != self._walk_stamp:
+            self._walk_cache.clear()
+            self._walk_stamp = generation if self._cache_walks else -1
+        key = (va >> self.page_shift, access, el)
+        base = self._walk_cache.get(key, -1)
+        if base >= 0:
+            return base | (va & (self.page_size - 1))
+        pa = self._translate_walk(va, access, el)
+        self._walk_cache[key] = pa & ~(self.page_size - 1)
+        return pa
 
     def _translate_walk(self, va, access, el):
         """The full (uncached) two-stage walk."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ReproError
+from repro.mem.phys import GENERATION
 
 __all__ = ["Permissions", "Stage1Table", "Stage2Table", "Mapping"]
 
@@ -83,21 +84,17 @@ class Stage1Table:
     def __init__(self, page_shift=12):
         self.page_shift = page_shift
         self._entries = {}
-        #: Monotonic generation counter: bumped on every mutation, so
-        #: host-side translation caches can stamp entries (a stale stamp
-        #: means re-walk; analogous to a TLB invalidate).
-        self.epoch = 0
 
     def map_page(self, vpn, frame, permissions):
         """Install a mapping; EL1 read is forced on (VMSAv8 rule)."""
         if not permissions.r_el1:
             permissions = replace(permissions, r_el1=True)
         self._entries[vpn] = Mapping(frame=frame, permissions=permissions)
-        self.epoch += 1
+        GENERATION.bump()
 
     def unmap_page(self, vpn):
         if self._entries.pop(vpn, None) is not None:
-            self.epoch += 1
+            GENERATION.bump()
 
     def lookup(self, vpn):
         """Return the :class:`Mapping` for a virtual page, or None."""
@@ -119,16 +116,14 @@ class Stage2Table:
     def __init__(self, default_allow=True):
         self.default_allow = default_allow
         self._entries = {}
-        #: Monotonic generation counter, as on :class:`Stage1Table`.
-        self.epoch = 0
 
     def set_frame(self, frame, *, r, w, x_el1, x_el0=False):
         self._entries[frame] = (r, w, x_el1, x_el0)
-        self.epoch += 1
+        GENERATION.bump()
 
     def clear_frame(self, frame):
         if self._entries.pop(frame, None) is not None:
-            self.epoch += 1
+            GENERATION.bump()
 
     def allows(self, frame, access, el):
         entry = self._entries.get(frame)

@@ -11,7 +11,30 @@ from __future__ import annotations
 
 from repro.errors import ReproError
 
-__all__ = ["PhysicalMemory"]
+__all__ = ["GENERATION", "PhysicalMemory"]
+
+
+class Generation:
+    """Process-wide monotonic count of cache-visible mutations.
+
+    Every mutation a host-side cache could observe bumps it: stage-1
+    map/unmap, stage-2 frame edits or wholesale replacement, and code
+    stores, erases or data writes into code frames.  Caches stamp their
+    contents with :attr:`value` and drop them when it moves (analogous
+    to a TLB/I-cache invalidate).  One shared counter can only
+    over-invalidate, never serve a stale entry.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = 0
+
+    def bump(self):
+        self.value += 1
+
+
+GENERATION = Generation()
 
 
 class PhysicalMemory:
@@ -29,11 +52,8 @@ class PhysicalMemory:
         self._frames = {}
         #: Decoded instructions, keyed by physical address.
         self._instructions = {}
-        #: Monotonic generation counter for code contents: bumped on
-        #: every instruction store/erase and on every data write that
-        #: touches a frame holding decoded instructions.  Host-side
-        #: decode caches stamp their entries with this epoch.
-        self.code_epoch = 0
+        #: Frames holding decoded instructions: data writes into them
+        #: bump :data:`GENERATION` (self-modifying code).
         self._code_frames = set()
 
     def _frame(self, frame_number):
@@ -67,7 +87,7 @@ class PhysicalMemory:
                 offset_in_data:offset_in_data + chunk
             ]
             if frame_number in self._code_frames:
-                self.code_epoch += 1
+                GENERATION.bump()
             pa += chunk
             offset_in_data += chunk
 
@@ -89,7 +109,7 @@ class PhysicalMemory:
             raise ReproError(f"instruction address {pa:#x} not 4-aligned")
         self._instructions[pa] = instruction
         self._code_frames.add(pa >> self.page_shift)
-        self.code_epoch += 1
+        GENERATION.bump()
         self.write(pa, instruction.encoding())
 
     def fetch_instruction(self, pa):
@@ -98,7 +118,7 @@ class PhysicalMemory:
 
     def erase_instruction(self, pa):
         if self._instructions.pop(pa, None) is not None:
-            self.code_epoch += 1
+            GENERATION.bump()
 
     def instructions_in_range(self, pa, size):
         """Decoded instructions within [pa, pa+size), address-ordered."""

@@ -50,6 +50,12 @@ DEFAULT_RING_TAIL = 32
 #: Frame-pointer walk bound (cycles in a corrupted chain must not hang).
 DEFAULT_MAX_FRAMES = 24
 
+#: Top-level keys :func:`~repro.observe.render.render_crash` requires.
+_REQUIRED_KEYS = frozenset(
+    ("reason", "profile", "cycle", "pauth_failures", "fault_threshold",
+     "registers", "frames")
+)
+
 
 def _silenced(engine):
     """Host-side PAC use during capture must not pollute the trace."""
@@ -337,7 +343,10 @@ class CrashDump:
     @classmethod
     def load(cls, path):
         with open(path) as handle:
-            return cls(json.load(handle))
+            data = json.load(handle)
+        if not isinstance(data, dict) or not _REQUIRED_KEYS <= data.keys():
+            raise ReproError(f"{path}: not a crash dump")
+        return cls(data)
 
 
 def _disassembly_window(system, pc, before=6, after=6):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import hotpath
+from repro.hotpath import caches_enabled
 
 __all__ = ["CipherMemoStats", "Qarma64", "SBOXES", "ALPHA", "ROUND_CONSTANTS"]
 
@@ -270,7 +270,7 @@ class Qarma64:
         # a *new* key value gets a *new* cipher instance.
         object.__setattr__(self, "_w1", _omega(self.w0))
         object.__setattr__(
-            self, "_memo", {} if hotpath.cipher_memo_enabled() else None
+            self, "_memo", {} if caches_enabled() else None
         )
         object.__setattr__(self, "memo_stats", CipherMemoStats())
 

@@ -5,25 +5,24 @@ invisible on the pinned workloads; these tests pin the *mechanisms* that
 make that true — the staleness contracts.  Each one constructs the exact
 hazard a cache could get wrong (a key-register write, self-modifying
 code, an unmap, a wholesale stage-2 swap) and asserts the stale entry is
-never served.
+never served.  The decode and translation caches share one invalidation
+counter, ``GENERATION``; the table below pins every site that bumps it.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-from conftest import DATA_BASE, STACK_TOP
+from conftest import DATA_BASE, STACK_TOP, BareMachine
 
 from repro import hotpath
 from repro.arch import isa
 from repro.arch.pac import PACEngine
 from repro.arch.registers import PAuthKey
 from repro.errors import PermissionFault, TranslationFault
-from repro.mem.pagetable import Stage2Table
+from repro.mem.mmu import MMU
+from repro.mem.pagetable import Permissions, Stage1Table, Stage2Table
+from repro.mem.phys import GENERATION, PhysicalMemory
 
 _POINTER = 0xFFFF_0000_0801_2340
 _MODIFIER = 0xAA55
@@ -51,40 +50,17 @@ class TestPacStaleness:
         cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xAAAA)
         mac_a = engine.compute_pac(_POINTER, _MODIFIER, key)
         assert engine.compute_pac(_POINTER, _MODIFIER, key) == mac_a
-        assert engine.cache_stats.hits == 1
-        assert engine.cache_stats.misses == 1
         assert mac_a == _cold_pac(_POINTER, _MODIFIER, key)
 
-        # The key register changes: the cached MAC must die with it.
+        # The key register changes: the old MAC must not come back.
         cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xBBBB)
-        assert engine.cache_stats.flushes == 1
-        assert engine.cache_stats.flushed_entries == 1
         mac_b = engine.compute_pac(_POINTER, _MODIFIER, key)
-        assert engine.cache_stats.misses == 2
         assert mac_b != mac_a
         assert mac_b == _cold_pac(_POINTER, _MODIFIER, key)
 
-        # Restoring the old value must *recompute*, not resurrect: the
-        # flush dropped the bucket, so this is a miss — and it still
-        # agrees with the cold computation.
+        # Restoring the old value restores the old MAC.
         cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xAAAA)
-        mac_a2 = engine.compute_pac(_POINTER, _MODIFIER, key)
-        assert engine.cache_stats.misses == 3
-        assert mac_a2 == mac_a
-
-    def test_key_write_emits_flush_trace_event(self, machine):
-        cpu = machine.cpu
-        ops = []
-        cpu.pac.trace_hook = lambda op, ok: ops.append(op)
-        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xAAAA)
-        cpu.pac.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ia)
-        cpu.write_sysreg_checked("APIAKeyLo_EL1", 0xBBBB)
-        assert ops == ["cache_miss", "cache_flush"]
-
-    def test_empty_bucket_flush_is_silent(self):
-        engine = PACEngine()
-        engine.note_key_write(PAuthKey(lo=0x1, hi=0x2))
-        assert engine.cache_stats.flushes == 0
+        assert engine.compute_pac(_POINTER, _MODIFIER, key) == mac_a
 
     def test_in_place_key_corruption_never_served_stale(self):
         # A fault-injection site mutates key.lo directly, bypassing the
@@ -103,15 +79,18 @@ class TestPacStaleness:
     def test_per_key_register_flush_is_selective(self, machine):
         cpu = machine.cpu
         engine = cpu.pac
+        keys = cpu.regs.keys
         cpu.write_sysreg_checked("APIAKeyLo_EL1", 0x1111)
         cpu.write_sysreg_checked("APIBKeyLo_EL1", 0x2222)
-        engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ia)
-        engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ib)
-        # Writing IB must not disturb the IA bucket.
+        mac_ia = engine.compute_pac(_POINTER, _MODIFIER, keys.ia)
+        mac_ib = engine.compute_pac(_POINTER, _MODIFIER, keys.ib)
+        # Writing IB changes IB's MAC and leaves IA's alone.
         cpu.write_sysreg_checked("APIBKeyLo_EL1", 0x3333)
-        engine.compute_pac(_POINTER, _MODIFIER, cpu.regs.keys.ia)
-        assert engine.cache_stats.hits == 1
-        assert engine.cache_stats.flushes == 1
+        assert engine.compute_pac(_POINTER, _MODIFIER, keys.ia) == mac_ia
+        assert mac_ia == _cold_pac(_POINTER, _MODIFIER, keys.ia)
+        mac_ib2 = engine.compute_pac(_POINTER, _MODIFIER, keys.ib)
+        assert mac_ib2 != mac_ib
+        assert mac_ib2 == _cold_pac(_POINTER, _MODIFIER, keys.ib)
 
 
 class TestDecodeCacheInvalidation:
@@ -203,27 +182,112 @@ class TestTranslationCacheInvalidation:
         assert new_pa == old_pa + mmu.page_size
 
 
-class TestEnvironmentSwitch:
-    def test_disable_env_var_builds_cacheless_components(self):
-        code = (
-            "from repro import hotpath\n"
-            "from repro.arch.cpu import CPU\n"
-            "assert not any(hotpath.snapshot().values()), hotpath.snapshot()\n"
-            "cpu = CPU()\n"
-            "assert not cpu._decode_enabled\n"
-            "assert not cpu.pac._cache_macs\n"
-            "print('ok')\n"
-        )
-        env = dict(os.environ, REPRO_DISABLE_CACHES="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH"), "src") if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
+def _mapped_stage1():
+    table = Stage1Table()
+    table.map_page(5, 9, Permissions.kernel_data())
+    return table
+
+
+def _listed_stage2():
+    table = Stage2Table()
+    table.set_frame(9, r=True, w=False, x_el1=False)
+    return table
+
+
+def _code_memory():
+    phys = PhysicalMemory()
+    phys.store_instruction(0x1000, isa.Nop())
+    return phys
+
+
+def _mapped_mmu():
+    mmu = MMU()
+    mmu.map_range(DATA_BASE, 0x1000, 0x600, Permissions.kernel_data())
+    return mmu
+
+
+_GENERATION_CASES = [
+    # (id, build target, action on it, bumps GENERATION?)
+    ("stage1-map", Stage1Table,
+     lambda t: t.map_page(5, 9, Permissions.kernel_data()), True),
+    ("stage1-unmap", _mapped_stage1, lambda t: t.unmap_page(5), True),
+    ("stage1-unmap-unmapped", Stage1Table, lambda t: t.unmap_page(5), False),
+    ("stage1-lookup", _mapped_stage1, lambda t: t.lookup(5), False),
+    ("stage2-set", Stage2Table,
+     lambda t: t.set_frame(9, r=False, w=False, x_el1=False), True),
+    ("stage2-clear", _listed_stage2, lambda t: t.clear_frame(9), True),
+    ("stage2-clear-unlisted", Stage2Table,
+     lambda t: t.clear_frame(9), False),
+    ("stage2-allows", _listed_stage2, lambda t: t.allows(9, "r", 1), False),
+    ("mmu-stage2-replace", MMU,
+     lambda m: setattr(m, "stage2", Stage2Table()), True),
+    ("mmu-translate", _mapped_mmu,
+     lambda m: m.translate(DATA_BASE, "r", 1), False),
+    ("phys-store-instruction", PhysicalMemory,
+     lambda p: p.store_instruction(0x1000, isa.Nop()), True),
+    ("phys-erase-instruction", _code_memory,
+     lambda p: p.erase_instruction(0x1000), True),
+    ("phys-code-frame-write", _code_memory,
+     lambda p: p.write(0x1008, bytes(4)), True),
+    ("phys-data-frame-write", _code_memory,
+     lambda p: p.write(0x5000, bytes(4)), False),
+    ("phys-read", _code_memory, lambda p: p.read(0x1000, 8), False),
+    ("phys-fetch", _code_memory,
+     lambda p: p.fetch_instruction(0x1000), False),
+]
+
+
+@pytest.mark.parametrize(
+    "build, action, bumps",
+    [pytest.param(*case[1:], id=case[0]) for case in _GENERATION_CASES],
+)
+def test_generation_bumped_by_mutation_sites_only(build, action, bumps):
+    target = build()
+    before = GENERATION.value
+    action(target)
+    assert (GENERATION.value != before) == bumps
+
+
+def _loop_machine():
+    """A bare machine with a load/store loop placed at ``main``."""
+    machine = BareMachine()
+    asm = machine.assembler()
+    asm.fn("main")
+    asm.emit(isa.Movz(1, 0, 0), isa.SubImm(isa.SP, isa.SP, 16))
+    asm.label("loop")
+    asm.emit(
+        isa.Str(0, isa.SP, 0),
+        isa.Ldr(2, isa.SP, 0),
+        isa.AddImm(1, 1, 3),
+        isa.SubImm(0, 2, 1),
+        isa.Cbnz(0, "loop"),
+        isa.AddImm(isa.SP, isa.SP, 16),
+        isa.AddImm(0, 1, 0),
+        isa.Ret(),
+    )
+    return machine, machine.place(asm.assemble())
+
+
+def _run_twice(machine, program):
+    cpu = machine.cpu
+    runs = [
+        cpu.call(program.address_of("main"), args=(20,), stack_top=STACK_TOP)
+        for _ in range(2)
+    ]
+    return runs, cpu.cycles, cpu.instructions_retired
+
+
+class TestCacheFreeOracle:
+    def test_cache_free_components_never_hit_and_agree(self):
+        # Built inside the context, run outside it: the flag is read at
+        # construction, so the cold machine stays cache-free.
+        with hotpath.disabled_caches():
+            cold_machine, cold_program = _loop_machine()
+        warm_machine, warm_program = _loop_machine()
+        cold = _run_twice(cold_machine, cold_program)
+        warm = _run_twice(warm_machine, warm_program)
+        assert cold == warm
+        assert cold[0][0][0] == 60
+        assert cold_machine.cpu.decode_stats.hits == 0
+        assert len(cold_machine.cpu.mmu._walk_cache) <= 1
+        assert warm_machine.cpu.decode_stats.hits > 0

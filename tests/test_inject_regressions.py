@@ -199,3 +199,21 @@ class TestRingBufferWrap:
             ring.append(value)
         assert ring.snapshot() == [0, 1, 2]
         assert ring.dropped == 0
+
+
+class TestCounterRollbackCollision:
+    """An unsigned SP that authenticates by 15-bit PAC collision takes
+    no fault; provoking PAuth failures must retry with a fresh victim
+    instead of escaping as a harness error."""
+
+    def test_colliding_seed_is_detected(self):
+        from repro.inject import InjectionCampaign
+
+        matrix = InjectionCampaign(
+            profile="full",
+            seed=1213462183,
+            trials=1,
+            sites=("fault.counter-rollback",),
+        ).run()
+        assert matrix.injected == 1
+        assert matrix.escaped == 0

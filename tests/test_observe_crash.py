@@ -197,3 +197,33 @@ class TestCli:
         assert main(["crash", str(saved)]) == 0
         second = capsys.readouterr().out
         assert second.strip() == first.split("\ncrash dump written")[0].strip()
+
+
+class TestCliErrors:
+    """Bad input prints one ``error:`` line and exits 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "contents, argv",
+        [
+            pytest.param("{}", ["crash", "{path}"], id="crash-empty-dump"),
+            pytest.param("not json", ["crash", "{path}"], id="crash-non-json"),
+            pytest.param(None, ["crash", "{path}"], id="crash-missing-file"),
+            pytest.param(None, ["verify", "--profile", "bogus"],
+                         id="verify-unknown-profile"),
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(
+        self, tmp_path, capsys, contents, argv
+    ):
+        from repro.__main__ import main
+
+        path = tmp_path / "dump.json"
+        if contents is not None:
+            path.write_text(contents)
+        argv = [arg.replace("{path}", str(path)) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err + captured.out

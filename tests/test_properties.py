@@ -174,7 +174,7 @@ class TestQarmaProperties:
 
 
 class TestPacCacheProperties:
-    """The MAC cache is transparent under arbitrary key-write histories."""
+    """PAC memoisation is transparent under arbitrary key-write histories."""
 
     _KEY_REGISTER = {"ia": "APIAKeyLo_EL1", "ib": "APIBKeyLo_EL1"}
 
