@@ -24,17 +24,52 @@ be served a MAC computed under the old key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.arch.vmsa import VMSAConfig
 from repro.qarma import Qarma64
 
-__all__ = ["PACEngine", "PACResult"]
+__all__ = ["PACEngine", "PACField", "PACResult"]
 
 _MASK64 = (1 << 64) - 1
 
 #: Error codes ORed into the extension on failed authentication, per the
 #: architecture: instruction keys flip bit 62 patterns, data keys bit 61.
 _ERROR_CODE = {"ia": 0b01, "ib": 0b01, "da": 0b10, "db": 0b10, "ga": 0b11}
+
+
+class PACField(NamedTuple):
+    """Where the PAC lives in one pointer class (bit 55 clear or set).
+
+    ``bits``: ascending positions, from :meth:`VMSAConfig.pac_field_bits`;
+    ``mask``: their union; ``runs``: the contiguous stretches as
+    ``(mac_shift, width_mask, bit)`` — at most two, bit 55 being the
+    only hole; ``top``, ``below``: masks of the two highest bits, the
+    ones a failed AuthPAC poisons (``va_bits`` <= 52 leaves >= 3 bits).
+    """
+
+    bits: tuple
+    mask: int
+    runs: tuple
+    top: int
+    below: int
+
+    @classmethod
+    def of(cls, config, kernel):
+        bits = config.pac_field_bits(kernel)
+        runs = []
+        start = 0
+        for end in range(1, len(bits) + 1):
+            if end == len(bits) or bits[end] != bits[end - 1] + 1:
+                runs.append((start, (1 << (end - start)) - 1, bits[start]))
+                start = end
+        return cls(
+            bits=bits,
+            mask=sum(1 << bit for bit in bits),
+            runs=tuple(runs),
+            top=1 << bits[-1],
+            below=1 << bits[-2],
+        )
 
 
 @dataclass(frozen=True)
@@ -66,6 +101,12 @@ class PACEngine:
         self.rounds = rounds
         self.sbox_index = sbox_index
         self._cipher_cache = {}
+        #: The PAC field of user (index 0) and kernel (index 1, bit 55
+        #: set) pointers, computed once for this geometry.
+        self.fields = (
+            PACField.of(self.config, kernel=False),
+            PACField.of(self.config, kernel=True),
+        )
         #: Nullable tracing hook ``(op, ok)`` — one call per
         #: architectural PAC operation, whether it runs on the core or
         #: host-side (boot signing, object initialization).  The
@@ -89,11 +130,9 @@ class PACEngine:
             self._cipher_cache[pair] = cipher
         return cipher
 
-    def _is_kernel(self, pointer):
-        return bool((pointer >> 55) & 1)
-
-    def _pac_bits(self, pointer):
-        return self.config.pac_field_bits(self._is_kernel(pointer))
+    def field(self, pointer):
+        """The :class:`PACField` of ``pointer``'s class (its bit 55)."""
+        return self.fields[(pointer >> 55) & 1]
 
     def compute_pac(self, pointer, modifier, key):
         """Raw 64-bit MAC over the canonicalised pointer and modifier."""
@@ -115,17 +154,21 @@ class PACEngine:
 
     def _add_pac(self, pointer, modifier, key):
         pointer &= _MASK64
-        bits = self._pac_bits(pointer)
-        mac = self.compute_pac(pointer, modifier, key)
-        was_canonical = self.config.is_canonical(pointer)
-        result = self.config.canonicalize(pointer)
-        for mac_index, bit in enumerate(bits):
-            mac_bit = (mac >> mac_index) & 1
-            result = (result & ~(1 << bit)) | (mac_bit << bit)
-        if not was_canonical and bits:
+        canonical = self.config.canonicalize(pointer)
+        result = self._deposit(canonical, modifier, key)
+        if canonical != pointer:
             # Poison one PAC bit so the forged value never authenticates.
-            result ^= 1 << bits[-1]
-        return result & _MASK64
+            result ^= self.field(pointer).top
+        return result
+
+    def _deposit(self, canonical, modifier, key):
+        """``canonical`` with its PAC field replaced by the MAC's low bits."""
+        field = self.field(canonical)
+        mac = self._cipher(key).encrypt(canonical, modifier & _MASK64)
+        result = canonical & ~field.mask
+        for mac_shift, width_mask, bit in field.runs:
+            result |= ((mac >> mac_shift) & width_mask) << bit
+        return result
 
     def auth_pac(self, pointer, modifier, key, key_name=None):
         """AUT* instruction: verify and strip the PAC.
@@ -135,14 +178,12 @@ class PACEngine:
         the per-key error code in the top extension bits.
         """
         pointer &= _MASK64
-        expected = self._add_pac(
-            self.config.canonicalize(pointer), modifier, key
-        )
-        ok = expected == pointer
+        canonical = self.config.canonicalize(pointer)
+        ok = self._deposit(canonical, modifier, key) == pointer
         if self.trace_hook is not None:
             self.trace_hook("auth", ok)
         if ok:
-            return PACResult(self.config.canonicalize(pointer), True)
+            return PACResult(canonical, True)
         return PACResult(self._poison(pointer, key, key_name), False)
 
     def strip(self, pointer):
@@ -170,39 +211,27 @@ class PACEngine:
         failed authentication used.
         """
         code = _ERROR_CODE.get(key_name or "ia", 0b01)
-        canonical = self.config.canonicalize(pointer)
-        bits = self._pac_bits(pointer)
-        if not bits:
-            return canonical
-        poisoned = canonical ^ (1 << bits[-1])
-        if len(bits) >= 2 and code & 0b10:
-            poisoned ^= 1 << bits[-2]
-        return poisoned & _MASK64
+        field = self.field(pointer)
+        poisoned = self.config.canonicalize(pointer) ^ field.top
+        if code & 0b10:
+            poisoned ^= field.below
+        return poisoned
 
     def decode_poison(self, pointer):
         """Inverse of :meth:`_poison`: which key *class* failed?
 
-        Returns ``"instruction"`` (ia/ib: bit ``bits[-2]`` untouched),
-        ``"data"`` (da/db — and ga, whose code shares the high bit:
-        ``bits[-2]`` flipped), or ``None`` when the pointer is canonical
-        or its deviation from canonical is not a poison pattern at all.
+        Returns ``"instruction"`` (ia/ib: the bit below the top field
+        bit untouched), ``"data"`` (da/db — and ga, whose code shares
+        the high bit: that bit flipped), or ``None`` when the pointer is
+        canonical or its deviation from canonical is not a poison
+        pattern at all.
         """
         pointer &= _MASK64
-        canonical = self.config.canonicalize(pointer)
-        diff = pointer ^ canonical
-        if diff == 0:
+        diff = pointer ^ self.config.canonicalize(pointer)
+        field = self.field(pointer)
+        if not diff & field.top or diff & ~(field.top | field.below):
             return None
-        bits = self._pac_bits(pointer)
-        if not bits:
-            return None
-        mask = 1 << bits[-1]
-        if len(bits) >= 2:
-            mask |= 1 << bits[-2]
-        if diff & ~mask or not diff & (1 << bits[-1]):
-            return None
-        if len(bits) >= 2 and diff & (1 << bits[-2]):
-            return "data"
-        return "instruction"
+        return "data" if diff & field.below else "instruction"
 
 
 # -- fault-injection sites (repro.inject) -------------------------------------
@@ -220,9 +249,7 @@ def _inject_signed_sp_bitflip(driver, rng):
     """
     target = driver.prepare_switch_target()
     raw = target.kobj.raw_read("cpu_context_sp")
-    engine = driver.system.cpu.pac
-    bits = engine.config.pac_field_bits(engine._is_kernel(raw))
-    bit = rng.choice(list(bits))
+    bit = rng.choice(driver.system.cpu.pac.field(raw).bits)
     target.kobj.raw_write("cpu_context_sp", raw ^ (1 << bit))
     driver.switch_and_touch(target)
 

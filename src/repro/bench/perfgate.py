@@ -13,16 +13,22 @@ pinned workloads:
 * ``pac_engine`` — a bare :class:`~repro.arch.pac.PACEngine` sign/auth
   loop with the reuse pattern kernel pointers exhibit.
 
-Each workload runs twice — caches enabled, then force-disabled via
-:func:`repro.hotpath.disabled_caches` — and the report records both
-throughputs, their ratio (``speedup``), the decode-cache or cipher-memo
-counters, and whether the simulated cycle counts matched between the two
-runs (``architectural_match``; the gate hard-fails if they ever diverge).
+Each workload is measured on two sides — caches enabled, then
+force-disabled via :func:`repro.hotpath.disabled_caches` — with
+:data:`SAMPLES` timed runs per side after one discarded warm-up run.
+A side's entry is its median run by normalised throughput (see
+below), plus the median, min and max normalised throughput of all its
+samples (``samples``); one sample of a sub-second run is mostly host
+noise.  The report records both sides, the ratio of their normalised
+medians (``speedup``), the decode-cache or cipher-memo counters, and
+whether every sample of both sides produced the same simulated results
+(``architectural_match``; the gate hard-fails if they ever diverge).
 
 **Gating.**  Absolute throughput is a property of the host, so the
-committed baseline normalises it by a ``host_score`` — a fixed
-pure-Python calibration loop timed on the same machine right before the
-workloads.  The gate fails when
+committed baseline normalises it by a ``host_score`` — the mean speed
+of a fixed pure-Python calibration chunk timed right before and right
+after each run on the same machine.  The gate compares medians of the
+normalised throughput; it fails when
 
 * any workload's normalised cached throughput regresses more than the
   tolerance (default 25%) against the baseline,
@@ -37,6 +43,7 @@ report as a workflow artifact.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
@@ -46,6 +53,7 @@ from repro.bench.harness import TextTable
 
 __all__ = [
     "SCHEMA_VERSION",
+    "SAMPLES",
     "TOLERANCE",
     "LMBENCH_MIN_SPEEDUP",
     "DEFAULT_BASELINE",
@@ -56,7 +64,7 @@ __all__ = [
     "render_report",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Allowed regression band for the gate comparisons.
 TOLERANCE = 0.25
@@ -66,25 +74,40 @@ LMBENCH_MIN_SPEEDUP = 2.0
 
 DEFAULT_BASELINE = "BENCH_perf.json"
 
-#: Iterations of the calibration loop (fixed: the score is loops/sec).
-_CALIBRATION_LOOPS = 200_000
+#: Timed runs per workload and side; the gate uses their median.
+SAMPLES = 7
+
+#: Iterations of one calibration chunk (fixed: the score is loops/sec).
+_CALIBRATION_LOOPS = 20_000
 
 
 def _calibrate():
-    """Machine-speed index: a fixed pure-Python loop, in loops/sec.
+    """Host-speed score: a fixed pure-Python chunk, in loops/sec.
 
-    Interpreter-bound integer/dict work, like the simulator itself, so
-    dividing a workload's throughput by this score yields a number
-    comparable across hosts (and across CI runner generations).
+    Interpreter-bound work that allocates and frees small lists, tuples
+    and dicts, as the simulator does, with the cyclic collector paused.
+    A shared host's speed drifts by tens of percent within seconds, so
+    :func:`_sample` brackets every timed run with two chunks; a
+    throughput divided by their mean is comparable across hosts and
+    across moments on one host.
     """
-    table = {}
-    accumulator = 0
-    start = time.perf_counter()
-    for index in range(_CALIBRATION_LOOPS):
-        accumulator = (accumulator * 33 + index) & 0xFFFFFFFF
-        table[index & 0xFF] = accumulator
-    elapsed = time.perf_counter() - start
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table = {}
+        start = time.perf_counter()
+        for index in range(_CALIBRATION_LOOPS):
+            table[index & 0x7F] = [(index, index + 1), {"k": index}]
+        elapsed = time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
     return _CALIBRATION_LOOPS / elapsed
+
+
+def _normalized(side, field):
+    """A run's throughput per unit of its ``host_score``."""
+    return side[field] / side["host_score"]
 
 
 # -- workload measurements ----------------------------------------------------
@@ -211,6 +234,35 @@ _WORKLOADS = (
 _ARCH_FIELDS = ("cycles_per_iteration", "instructions", "checksum")
 
 
+def _sample(measure, size, warmup, field):
+    """Warm up once, then time :data:`SAMPLES` runs of one side.
+
+    Calibration chunks run before the first run and after every run;
+    a run's ``host_score`` is the mean of the two around it.  Returns
+    the run with the median normalised throughput, extended with the
+    ``samples`` summary (n, median, min, max of the normalised
+    throughput), and the list of all timed runs.
+    """
+    measure(warmup)  # discard: excludes import/cold-start effects
+    runs = []
+    score = _calibrate()
+    for _ in range(SAMPLES):
+        run = measure(size)
+        after = _calibrate()
+        run["host_score"] = (score + after) / 2
+        score = after
+        runs.append(run)
+    ordered = sorted(runs, key=lambda run: _normalized(run, field))
+    median = dict(ordered[len(ordered) // 2])
+    median["samples"] = {
+        "n": len(runs),
+        "median": _normalized(median, field),
+        "min": _normalized(ordered[0], field),
+        "max": _normalized(ordered[-1], field),
+    }
+    return median, runs
+
+
 def run_perf(iterations=150, pac_operations=3000):
     """Measure every pinned workload cached and uncached; full report."""
     sizes = {
@@ -222,26 +274,30 @@ def run_perf(iterations=150, pac_operations=3000):
     report = {
         "schema": SCHEMA_VERSION,
         "python": platform.python_version(),
-        "host_score": _calibrate(),
         "workloads": {},
     }
     for name, measure, throughput_field in _WORKLOADS:
         warmup = max(10, sizes[name] // 10)
-        measure(warmup)  # discard: excludes import/cold-start effects
-        cached = measure(sizes[name])
+        cached, cached_runs = _sample(
+            measure, sizes[name], warmup, throughput_field
+        )
         with hotpath.disabled_caches():
-            measure(warmup)
-            uncached = measure(sizes[name])
+            uncached, uncached_runs = _sample(
+                measure, sizes[name], warmup, throughput_field
+            )
         matches = all(
-            cached.get(field) == uncached.get(field)
+            run.get(field) == cached.get(field)
+            for run in cached_runs + uncached_runs
             for field in _ARCH_FIELDS
-            if field in cached or field in uncached
+            if field in cached or field in run
         )
         report["workloads"][name] = {
             "throughput_field": throughput_field,
             "cached": cached,
             "uncached": uncached,
-            "speedup": cached[throughput_field] / uncached[throughput_field],
+            "speedup": (
+                cached["samples"]["median"] / uncached["samples"]["median"]
+            ),
             "architectural_match": matches,
         }
     detached = report["workloads"].get("lmbench_null_call")
@@ -258,8 +314,8 @@ def run_perf(iterations=150, pac_operations=3000):
                 "instructions_per_sec"
             ],
             "host_overhead": (
-                detached["cached"]["instructions_per_sec"]
-                / attached["cached"]["instructions_per_sec"]
+                detached["cached"]["samples"]["median"]
+                / attached["cached"]["samples"]["median"]
             ),
             "architectural_match": (
                 attached["cached"]["cycles_per_iteration"]
@@ -292,10 +348,15 @@ def compare(current, baseline, tolerance=TOLERANCE):
     """Gate the current report against a baseline; list of failures.
 
     An empty list means the gate passes.  Throughputs are compared
-    normalised by each report's own ``host_score``, so a faster or
-    slower runner does not masquerade as a simulator change; speedup
-    ratios need no normalisation.
+    normalised by each median run's own ``host_score``, so a faster or
+    slower runner — or a host that slowed down mid-run — does not
+    masquerade as a simulator change.
     """
+    if baseline.get("schema") != current.get("schema"):
+        return [
+            f"baseline schema {baseline.get('schema')} differs from "
+            f"{current.get('schema')}: regenerate the baseline"
+        ]
     failures = []
     floor = 1.0 - tolerance
     for name, entry in current["workloads"].items():
@@ -308,10 +369,8 @@ def compare(current, baseline, tolerance=TOLERANCE):
             failures.append(f"{name}: missing from baseline")
             continue
         field = entry["throughput_field"]
-        normalized = entry["cached"][field] / current["host_score"]
-        base_normalized = (
-            base_entry["cached"][field] / baseline["host_score"]
-        )
+        normalized = _normalized(entry["cached"], field)
+        base_normalized = _normalized(base_entry["cached"], field)
         if normalized < base_normalized * floor:
             failures.append(
                 f"{name}: normalised throughput regressed "
@@ -349,17 +408,26 @@ def compare(current, baseline, tolerance=TOLERANCE):
 
 
 def render_report(report):
-    """Human-readable throughput and cache-counter tables."""
+    """Human-readable throughput and cache-counter tables (medians)."""
     table = TextTable(
         "Simulator throughput (host-side)",
-        ["workload", "metric", "cached", "uncached", "speedup", "arch-ok"],
+        [
+            "workload", "metric", "cached", "normalised (min-max)",
+            "uncached", "speedup", "arch-ok",
+        ],
     )
     for name, entry in sorted(report["workloads"].items()):
         field = entry["throughput_field"]
+        samples = entry["cached"].get("samples")
         table.add_row(
             name,
             field,
             f"{entry['cached'][field]:,.0f}",
+            (
+                f"{samples['median']:.4g} "
+                f"({samples['min']:.4g}-{samples['max']:.4g})"
+                if samples else "-"
+            ),
             f"{entry['uncached'][field]:,.0f}",
             f"{entry['speedup']:.2f}x",
             "yes" if entry["architectural_match"] else "NO",
@@ -392,7 +460,8 @@ def render_report(report):
         )
     lines.append("")
     lines.append(
-        f"host_score: {report['host_score']:,.0f} calibration loops/sec"
+        f"host_score: per timed run, the mean calibration score around it;"
+        f" the gate compares medians of throughput / host_score"
         f" (python {report['python']})"
     )
     return "\n".join(lines)

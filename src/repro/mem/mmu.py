@@ -137,6 +137,11 @@ class MMU:
         return bytes(out)
 
     def write(self, va, data, el):
+        """Write ``data`` at ``va``, page by page.
+
+        Each page is translated before its bytes are stored, so a fault
+        on a later page leaves the earlier pages written.
+        """
         offset = 0
         while offset < len(data):
             pa = self.translate(va, "w", el)
@@ -149,10 +154,25 @@ class MMU:
             offset += chunk
 
     def read_u64(self, va, el):
-        return int.from_bytes(self.read(va, 8, el), "little")
+        """Read the little-endian doubleword at ``va``.
+
+        An in-page doubleword is translated once and read with one
+        :meth:`PhysicalMemory.read_u64`; a page-crossing one takes the
+        page-by-page :meth:`read`, so it faults exactly where that does.
+        """
+        if va & (self.page_size - 1) > self.page_size - 8:
+            return int.from_bytes(self.read(va, 8, el), "little")
+        return self.phys.read_u64(self.translate(va, "r", el))
 
     def write_u64(self, va, value, el):
-        self.write(va, (value & _MASK64).to_bytes(8, "little"), el)
+        """Write ``value`` as a little-endian doubleword at ``va``.
+
+        The in-page / page-crossing split mirrors :meth:`read_u64`.
+        """
+        if va & (self.page_size - 1) > self.page_size - 8:
+            self.write(va, (value & _MASK64).to_bytes(8, "little"), el)
+            return
+        self.phys.write_u64(self.translate(va, "w", el), value)
 
     def fetch(self, va, el):
         """Instruction fetch: execute-permission check, then decode."""

@@ -13,6 +13,8 @@ from repro.errors import ReproError
 
 __all__ = ["GENERATION", "PhysicalMemory"]
 
+_MASK64 = (1 << 64) - 1
+
 
 class Generation:
     """Process-wide monotonic count of cache-visible mutations.
@@ -92,10 +94,34 @@ class PhysicalMemory:
             offset_in_data += chunk
 
     def read_u64(self, pa):
-        return int.from_bytes(self.read(pa, 8), "little")
+        """Read the little-endian doubleword at ``pa``.
+
+        A doubleword inside one frame is a single slice of that frame
+        (allocated lazily, as :meth:`read` would); one that crosses a
+        frame boundary goes through :meth:`read`.
+        """
+        offset = pa & (self.page_size - 1)
+        if offset > self.page_size - 8:
+            return int.from_bytes(self.read(pa, 8), "little")
+        frame = self._frame(pa >> self.page_shift)
+        return int.from_bytes(frame[offset:offset + 8], "little")
 
     def write_u64(self, pa, value):
-        self.write(pa, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
+        """Write ``value`` as a little-endian doubleword at ``pa``.
+
+        The in-frame case stores one slice and bumps :data:`GENERATION`
+        once if the frame holds code, exactly as :meth:`write` does; a
+        frame-crossing doubleword goes through :meth:`write`.
+        """
+        data = (value & _MASK64).to_bytes(8, "little")
+        offset = pa & (self.page_size - 1)
+        if offset > self.page_size - 8:
+            self.write(pa, data)
+            return
+        frame_number = pa >> self.page_shift
+        self._frame(frame_number)[offset:offset + 8] = data
+        if frame_number in self._code_frames:
+            GENERATION.bump()
 
     # -- instruction storage ----------------------------------------------------
 

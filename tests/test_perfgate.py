@@ -10,6 +10,9 @@ import pytest
 
 from repro.bench.perfgate import (
     LMBENCH_MIN_SPEEDUP,
+    SAMPLES,
+    SCHEMA_VERSION,
+    _sample,
     compare,
     load_report,
     render_report,
@@ -24,12 +27,14 @@ def _synthetic_report(host_score=1_000_000.0):
             "throughput_field": field,
             "cached": {
                 field: cached,
+                "host_score": host_score,
                 "cycles_per_iteration": 100.0,
                 "instructions": 5000,
                 "cache_stats": {},
             },
             "uncached": {
                 field: uncached,
+                "host_score": host_score,
                 "cycles_per_iteration": 100.0,
                 "instructions": 5000,
                 "cache_stats": {},
@@ -39,11 +44,8 @@ def _synthetic_report(host_score=1_000_000.0):
         }
 
     return {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "python": "3.11.7",
-        "host_score": host_score,
-        "caches": {"decode": True, "translate": True,
-                   "pac": True, "cipher": True},
         "workloads": {
             "lmbench_null_call": workload(300_000.0, 120_000.0),
             "callbench_camouflage": workload(500_000.0, 110_000.0),
@@ -123,6 +125,13 @@ class TestCompare:
         failures = compare(_synthetic_report(), baseline)
         assert failures == ["pac_engine: missing from baseline"]
 
+    def test_baseline_of_another_schema_fails(self):
+        baseline = _synthetic_report()
+        baseline["schema"] = SCHEMA_VERSION - 1
+        failures = compare(_synthetic_report(), baseline)
+        assert len(failures) == 1
+        assert "regenerate the baseline" in failures[0]
+
     def test_wider_tolerance_accepts_more(self):
         baseline = _synthetic_report()
         current = copy.deepcopy(baseline)
@@ -131,6 +140,35 @@ class TestCompare:
         entry["speedup"] *= 0.6
         assert compare(current, baseline) != []
         assert compare(current, baseline, tolerance=0.5) == []
+
+
+class TestSampling:
+    def test_entry_is_the_median_normalised_run(self, monkeypatch):
+        import repro.bench.perfgate as perfgate
+
+        # Calibration scores before the first run and after each run;
+        # the host doubles its speed halfway through.
+        scores = iter([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+        monkeypatch.setattr(perfgate, "_calibrate", lambda: next(scores))
+        # The first value feeds the discarded warm-up run.
+        rates = iter([100.0, 1.0, 9.0, 3.0, 10.5, 4.0, 16.0, 12.0])
+        sizes = []
+
+        def measure(size):
+            sizes.append(size)
+            return {"rate": next(rates), "size": size}
+
+        median, runs = _sample(measure, 50, 5, "rate")
+        assert SAMPLES == 7
+        assert sizes == [5] + [50] * SAMPLES
+        assert [run["host_score"] for run in runs] == [
+            1.0, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0,
+        ]
+        # Normalised: 1, 9, 3, 7, 2, 8, 6 -> median 6 (the last run).
+        assert median["rate"] == 12.0
+        assert median["samples"] == {
+            "n": SAMPLES, "median": 6.0, "min": 1.0, "max": 9.0,
+        }
 
 
 class TestPersistence:
@@ -161,7 +199,7 @@ class TestCommittedBaseline:
             "BENCH_perf.json",
         )
         baseline = load_report(path)
-        assert baseline["schema"] == 1
+        assert baseline["schema"] == SCHEMA_VERSION
         for name in ("lmbench_null_call", "callbench_camouflage",
                      "pac_engine"):
             entry = baseline["workloads"][name]
@@ -184,6 +222,15 @@ class TestRunPerfSmoke:
         for entry in report["workloads"].values():
             assert entry["architectural_match"]
             assert entry["cached"]["wall_seconds"] > 0
+            for side in ("cached", "uncached"):
+                samples = entry[side]["samples"]
+                assert samples["n"] == SAMPLES
+                assert samples["min"] <= samples["median"] <= samples["max"]
+                median_run = entry[side]
+                assert samples["median"] == (
+                    median_run[entry["throughput_field"]]
+                    / median_run["host_score"]
+                )
         # The profiler changes host throughput, never simulated state.
         assert report["observer"]["architectural_match"]
         assert report["observer"]["conserved"]
