@@ -14,11 +14,10 @@ from repro.bench import run_replay_matrix, run_security_matrix
 
 
 def test_security_matrix(benchmark):
-    record, campaign = benchmark.pedantic(
-        run_security_matrix, rounds=1, iterations=1
-    )
+    record = benchmark.pedantic(run_security_matrix, rounds=1, iterations=1)
     record_experiment(benchmark, record)
-    print(campaign.render())
+    for table in record.tables:
+        print(table.render())
     assert record.reproduced
 
 

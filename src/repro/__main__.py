@@ -158,8 +158,9 @@ def _cmd_figures(args):
 def _cmd_attacks(_args):
     from repro.bench import run_security_matrix
 
-    record, campaign = run_security_matrix()
-    print(campaign.render())
+    record = run_security_matrix()
+    for table in record.tables:
+        print(table.render())
     print()
     print(record.summary())
     return 0 if record.reproduced else 1

@@ -1,6 +1,11 @@
-"""Attack simulations: ROP, replay, pointer overwrites, brute force."""
+"""Attack simulations: ROP, replay, pointer overwrites, brute force.
 
-from repro.attacks.base import ArbitraryMemoryPrimitive, Attack, AttackResult
+Each attack's :meth:`~repro.attacks.base.Attack.run` returns one
+:class:`repro.inject.outcome.Outcome` row; the rows of
+:func:`default_attacks` across the profiles form the E6 matrix.
+"""
+
+from repro.attacks.base import ArbitraryMemoryPrimitive, Attack
 from repro.attacks.bruteforce import (
     BruteForceAttack,
     expected_guesses,
@@ -21,11 +26,10 @@ from repro.attacks.opstable import (
 )
 from repro.attacks.replay import ReplayAttack, cross_thread_replay_accepted
 from repro.attacks.rop import RopInjectionAttack
-from repro.attacks.runner import AttackCampaign, CampaignResult, default_attacks
+from repro.attacks.runner import default_attacks
 
 __all__ = [
     "Attack",
-    "AttackResult",
     "ArbitraryMemoryPrimitive",
     "RopInjectionAttack",
     "ReplayAttack",
@@ -44,7 +48,5 @@ __all__ = [
     "ModuleMrsAttack",
     "SctlrDisableAttack",
     "OracleProbeAttack",
-    "AttackCampaign",
-    "CampaignResult",
     "default_attacks",
 ]

@@ -6,22 +6,26 @@ the paper's (Section 3.1): full control of user space plus an
 arbitrary kernel read/write primitive, but no writes to read-only /
 XOM memory (those go through the hypervisor's stage 2 and are denied).
 
-An attack reports one of three outcomes:
+An attack's :meth:`Attack.exploit` either returns a verdict with a
+detail string,
 
 * ``succeeded`` — attacker-chosen control flow executed;
-* ``detected`` — a PAuth authentication failure surfaced as a fault
-  (task killed / counted toward the panic threshold);
-* ``blocked`` — the primitive itself was refused (e.g. writing rodata).
+* ``blocked`` — the primitive itself was refused (e.g. writing rodata);
+* ``detected`` — the attack was foiled without stopping the kernel,
+
+or lets the kernel stop it: a PAuth authentication failure surfacing
+as a killed task or a panic.  :meth:`Attack.run` turns either into one
+:class:`~repro.inject.outcome.Outcome` row through the same classifier
+the fault-injection campaign uses, so a stopped attack is ``detected``
+with ``detected_by`` naming the mechanism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import PermissionFault
+from repro.inject.outcome import Outcome, classify
 
 __all__ = [
-    "AttackResult",
     "Attack",
     "ArbitraryMemoryPrimitive",
     "ATTACK_SCRATCH",
@@ -32,27 +36,6 @@ __all__ = [
 from repro.kernel import layout as _layout
 
 ATTACK_SCRATCH = _layout.KERNEL_PERCPU_BASE + 0xF00
-
-
-@dataclass
-class AttackResult:
-    """Outcome of one attack run."""
-
-    attack: str
-    profile: str
-    outcome: str  # "succeeded" | "detected" | "blocked"
-    detail: str = ""
-
-    @property
-    def succeeded(self):
-        return self.outcome == "succeeded"
-
-    @property
-    def stopped(self):
-        return self.outcome in ("detected", "blocked")
-
-    def __str__(self):
-        return f"[{self.profile:>8}] {self.attack}: {self.outcome} — {self.detail}"
 
 
 class ArbitraryMemoryPrimitive:
@@ -98,6 +81,18 @@ class Attack:
 
         return System(profile=profile, **kwargs)
 
-    def run(self, profile):
-        """Execute the attack; returns an :class:`AttackResult`."""
+    def exploit(self, profile):
+        """Attack a victim; return ``(outcome, detail)`` or raise."""
         raise NotImplementedError
+
+    def run(self, profile):
+        """Run the attack against ``profile`` (a name or a profile)."""
+        detected_by, result = classify(lambda: self.exploit(profile))
+        outcome, detail = ("detected", result) if detected_by else result
+        return Outcome(
+            site=self.name,
+            outcome=outcome,
+            profile=getattr(profile, "name", profile),
+            detected_by=detected_by,
+            detail=detail,
+        )

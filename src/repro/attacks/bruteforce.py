@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import random
 
-from repro.attacks.base import Attack, AttackResult
+from repro.attacks.base import Attack
 from repro.cfi.keys import KeyRole
+from repro.errors import KernelPanic
 from repro.kernel.vfs import open_file
 
 __all__ = ["BruteForceAttack", "expected_guesses", "success_probability"]
@@ -59,7 +60,7 @@ class BruteForceAttack(Attack):
         self.seed = seed
         self.max_guesses = max_guesses
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile)
         if self.unlimited:
             system.faults.panic_on_threshold = False
@@ -71,8 +72,8 @@ class BruteForceAttack(Attack):
 
         if not system.profile.dfi:
             victim.raw_write("f_ops", target)
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
+            return (
+                "succeeded",
                 "no PAC to guess: pointer accepted on the first write",
             )
 
@@ -93,8 +94,8 @@ class BruteForceAttack(Attack):
                 "f_ops", system.cpu.pac, system.kernel_keys, key_name
             )
             if ok and pointer == target:
-                return AttackResult(
-                    self.name, system.profile.name, "succeeded",
+                return (
+                    "succeeded",
                     f"PAC guessed after {guesses} attempts "
                     f"(2^{pac_bits} space)",
                 )
@@ -105,12 +106,9 @@ class BruteForceAttack(Attack):
                 system.faults.panic_on_threshold
                 and system.faults.pauth_failures >= system.faults.threshold
             ):
-                return AttackResult(
-                    self.name, system.profile.name, "detected",
+                raise KernelPanic(
                     f"system panicked after {guesses} failed guesses "
                     f"(threshold {system.faults.threshold})",
+                    reason="pauth-threshold",
                 )
-        return AttackResult(
-            self.name, system.profile.name, "detected",
-            f"gave up after {guesses} guesses",
-        )
+        return "detected", f"gave up after {guesses} guesses"

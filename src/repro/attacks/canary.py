@@ -20,7 +20,7 @@ from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU
 from repro.arch.registers import PAuthKey
-from repro.attacks.base import Attack, AttackResult
+from repro.attacks.base import Attack
 from repro.cfi.canary import (
     CanaryKind,
     canary_slot_offset,
@@ -41,16 +41,18 @@ _MARKER = 27
 class CanaryLeakAttack(Attack):
     """Leak a canary from one frame, replay it over another."""
 
-    name = "canary-leak-replay"
-
     def __init__(self, kind=CanaryKind.GLOBAL):
         if kind not in CanaryKind.ALL:
             raise ReproError(f"unknown canary kind {kind!r}")
         self.kind = kind
+        self.name = f"canary-leak-replay({kind})"
         self._leaked = None
 
     def run(self, profile=None):
         """``profile`` is unused: the canary kind is the defense."""
+        return super().run(self.kind)
+
+    def exploit(self, _kind):
         cpu = CPU()
         cpu.regs.keys.ga = PAuthKey(0x6A6A, 0x7B7B)
         cpu.mmu.map_range(
@@ -106,25 +108,15 @@ class CanaryLeakAttack(Attack):
             cpu.mmu.phys.store_instruction(pa, instruction)
         self._gadget = program.address_of("__gadget")
 
-        label = f"{self.name}({self.kind})"
         # Phase 1: leak from the helper (deeper SP: call through a pad).
         cpu.call(program.address_of("helper"), stack_top=_STACK - 0x200)
         # Phase 2: overflow the victim at a different SP.
         cpu.regs.write(_MARKER, 0)
-        try:
-            cpu.call(program.address_of("victim"), stack_top=_STACK)
-        except TaskKilled as killed:
-            return AttackResult(label, self.kind, "detected", str(killed))
+        cpu.call(program.address_of("victim"), stack_top=_STACK)
         if cpu.regs.read(_MARKER) == 0xBEEF:
-            return AttackResult(
-                label, self.kind, "succeeded",
-                "leaked canary replayed; gadget executed",
-            )
+            return "succeeded", "leaked canary replayed; gadget executed"
         if self.kind == CanaryKind.NONE:
-            return AttackResult(
-                label, self.kind, "succeeded",
-                "no canary: overflow silently corrupted the frame",
+            return (
+                "succeeded", "no canary: overflow silently corrupted the frame"
             )
-        return AttackResult(
-            label, self.kind, "detected", "return was not redirected"
-        )
+        return "detected", "return was not redirected"

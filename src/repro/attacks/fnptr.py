@@ -11,9 +11,7 @@ raw address fails authentication at the consuming ``BLR``.
 from __future__ import annotations
 
 from repro.arch import isa
-from repro.attacks.base import ArbitraryMemoryPrimitive, Attack, AttackResult
-from repro.errors import KernelPanic
-from repro.kernel.fault import TaskKilled
+from repro.attacks.base import ArbitraryMemoryPrimitive, Attack
 from repro.kernel.workqueue import init_work
 
 __all__ = ["WritableFnPtrAttack", "JopGadgetAttack"]
@@ -55,7 +53,7 @@ class WritableFnPtrAttack(Attack):
     target_symbol = "__escalate_privileges"
     marker_value = 0xBAD
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile, text_builders=[_build_payload])
         work = init_work(
             system,
@@ -68,20 +66,11 @@ class WritableFnPtrAttack(Attack):
         primitive.write_u64(slot, target)
 
         system.cpu.regs.write(_MARKER, 0)
-        try:
-            system.kernel_call("run_work", args=(work.address,))
-        except (TaskKilled, KernelPanic) as stopped:
-            return AttackResult(
-                self.name, system.profile.name, "detected", str(stopped)
-            )
+        system.kernel_call("run_work", args=(work.address,))
         if system.cpu.regs.read(_MARKER) == self.marker_value:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
-                f"kernel called attacker pointer {target:#x}",
-            )
-        return AttackResult(
-            self.name, system.profile.name, "detected",
-            "callback dispatch did not reach the attacker target",
+            return "succeeded", f"kernel called attacker pointer {target:#x}"
+        return (
+            "detected", "callback dispatch did not reach the attacker target"
         )
 
     def _gadget_address(self, system):

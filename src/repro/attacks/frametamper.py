@@ -17,11 +17,9 @@ demonstrates both the gap and the fix.
 from __future__ import annotations
 
 from repro.arch import isa
-from repro.attacks.base import Attack, AttackResult
+from repro.attacks.base import Attack
 from repro.cfi.policy import ProtectionProfile
-from repro.errors import KernelPanic
 from repro.kernel.entry import FRAME_ELR_OFFSET, S_FRAME_SIZE
-from repro.kernel.fault import TaskKilled
 from repro.kernel.syscalls import SyscallSpec
 from repro.kernel import layout
 
@@ -66,7 +64,7 @@ class FrameTamperAttack(Attack):
 
         ctx.compiler.function(asm, "sys_vuln", body)
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(
             profile, syscalls=[SyscallSpec("vuln", self._build_vuln)]
         )
@@ -100,18 +98,10 @@ class FrameTamperAttack(Attack):
         system.load_user_program(program)
         system.map_user_stack()
 
-        try:
-            system.run_user(task, program.address_of("main"))
-        except (TaskKilled, KernelPanic) as stopped:
-            return AttackResult(
-                self.name, system.profile.name, "detected", str(stopped)
-            )
+        system.run_user(task, program.address_of("main"))
         if system.cpu.regs.read(_MARKER) == 0x4A4A:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
+            return (
+                "succeeded",
                 "ERET resumed user execution at the attacker-chosen PC",
             )
-        return AttackResult(
-            self.name, system.profile.name, "detected",
-            "user flow was not redirected",
-        )
+        return "detected", "user flow was not redirected"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.arch import isa
 from repro.arch.assembler import Assembler
-from repro.attacks.base import ArbitraryMemoryPrimitive, Attack, AttackResult
+from repro.attacks.base import ArbitraryMemoryPrimitive, Attack
 from repro.cfi.keys import KeyRole
 from repro.elfimage.image import ImageBuilder
 from repro.errors import HypervisorTrap, KernelPanic
@@ -43,21 +43,21 @@ class XomReadAttack(Attack):
 
     name = "xom-key-read"
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile)
         if system.key_setter_address is None:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
+            return (
+                "succeeded",
                 "no key setter installed (unprotected kernel has no keys)",
             )
         primitive = ArbitraryMemoryPrimitive(system)
         ok, payload = primitive.try_read_u64(system.key_setter_address)
         if ok:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
+            return (
+                "succeeded",
                 f"read setter code: {payload:#x} (keys recoverable)",
             )
-        return AttackResult(self.name, system.profile.name, "blocked", payload)
+        return "blocked", payload
 
 
 def _build_module(name, instructions):
@@ -75,7 +75,7 @@ class ModuleMrsAttack(Attack):
 
     name = "module-mrs-keys"
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile)
         module = _build_module(
             "evil_mrs",
@@ -84,22 +84,14 @@ class ModuleMrsAttack(Attack):
         try:
             system.modules.load(module)
         except ModuleRejected as rejected:
-            return AttackResult(
-                self.name, system.profile.name, "blocked", str(rejected)
-            )
+            return "blocked", str(rejected)
         # Loaded: run the init and see whether the keys leaked.
         system.kernel_call(module.symbols["evil_mrs_init"])
         leaked = system.cpu.regs.read(0)
         actual = system.kernel_keys.ib.lo if system.kernel_keys else 0
         if leaked == actual and actual != 0:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
-                f"module read IB key: {leaked:#x}",
-            )
-        return AttackResult(
-            self.name, system.profile.name, "blocked",
-            "module ran but observed no key material",
-        )
+            return "succeeded", f"module read IB key: {leaked:#x}"
+        return "blocked", "module ran but observed no key material"
 
 
 class SctlrDisableAttack(Attack):
@@ -107,7 +99,7 @@ class SctlrDisableAttack(Attack):
 
     name = "sctlr-disable"
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile)
         module = _build_module(
             "evil_sctlr", [isa.Movz(0, 0, 0), isa.Msr("SCTLR_EL1", 0)]
@@ -128,12 +120,12 @@ class SctlrDisableAttack(Attack):
             runtime_blocked = True
 
         if static_blocked and runtime_blocked:
-            return AttackResult(
-                self.name, system.profile.name, "blocked",
+            return (
+                "blocked",
                 "static scan rejected the module; run-time MSR trapped to EL2",
             )
-        return AttackResult(
-            self.name, system.profile.name, "succeeded",
+        return (
+            "succeeded",
             f"static: {static_result}; runtime trapped: {runtime_blocked}",
         )
 
@@ -146,43 +138,37 @@ class OracleProbeAttack(Attack):
     def __init__(self, threshold=8):
         self.threshold = threshold
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile, fault_threshold=self.threshold)
         victim = open_file(system, "ext4_fops")
         target = system.kernel_symbol("sockfs_write")
         key_name = system.profile.key_for(KeyRole.DFI)
 
         if not system.profile.dfi:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
-                "nothing to probe: pointers are unauthenticated",
+            return (
+                "succeeded", "nothing to probe: pointers are unauthenticated"
             )
         probes = 0
-        try:
-            for candidate in range(1 << 12):
-                forged = system.config.canonicalize(target) | (
-                    (candidate & 0x7F) << 48
-                )
-                victim.raw_write("f_ops", forged)
-                probes += 1
-                pointer, ok = victim.get_protected(
-                    "f_ops", system.cpu.pac, system.kernel_keys, key_name
-                )
-                if ok:
-                    return AttackResult(
-                        self.name, system.profile.name, "succeeded",
-                        f"oracle confirmed a forgery after {probes} probes",
-                    )
-                system.faults.pauth_failures += 1
-                if system.faults.pauth_failures >= system.faults.threshold:
-                    raise KernelPanic("threshold", reason="pauth-threshold")
-        except KernelPanic:
-            return AttackResult(
-                self.name, system.profile.name, "detected",
-                f"oracle shut down by panic after {probes} probes "
-                f"(threshold {system.faults.threshold}); every probe logged",
+        for candidate in range(1 << 12):
+            forged = system.config.canonicalize(target) | (
+                (candidate & 0x7F) << 48
             )
-        return AttackResult(
-            self.name, system.profile.name, "detected",
-            f"no forgery confirmed in {probes} probes",
-        )
+            victim.raw_write("f_ops", forged)
+            probes += 1
+            pointer, ok = victim.get_protected(
+                "f_ops", system.cpu.pac, system.kernel_keys, key_name
+            )
+            if ok:
+                return (
+                    "succeeded",
+                    f"oracle confirmed a forgery after {probes} probes",
+                )
+            system.faults.pauth_failures += 1
+            if system.faults.pauth_failures >= system.faults.threshold:
+                raise KernelPanic(
+                    f"oracle shut down by panic after {probes} probes "
+                    f"(threshold {system.faults.threshold}); every probe "
+                    f"logged",
+                    reason="pauth-threshold",
+                )
+        return "detected", f"no forgery confirmed in {probes} probes"

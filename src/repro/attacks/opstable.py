@@ -23,12 +23,8 @@ from repro.attacks.base import (
     ATTACK_SCRATCH,
     ArbitraryMemoryPrimitive,
     Attack,
-    AttackResult,
 )
-from repro.errors import KernelPanic
-from repro.kernel.fault import TaskKilled
 from repro.kernel.vfs import FILE_F_OPS_OFFSET, open_file
-from repro.kernel import layout
 
 __all__ = ["OpsTableSwapAttack", "RodataWriteAttack", "CredPointerAttack"]
 
@@ -49,7 +45,7 @@ class OpsTableSwapAttack(Attack):
 
     name = "ops-table-swap"
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile, text_builders=[_attack_text])
         victim = open_file(system, "ext4_fops")
         system.install_fd(3, victim)
@@ -61,33 +57,15 @@ class OpsTableSwapAttack(Attack):
         primitive.write_u64(fake_table, system.kernel_symbol("__evil_read"))
         primitive.write_u64(victim.address + FILE_F_OPS_OFFSET, fake_table)
 
-        from repro.arch.assembler import Assembler
-
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(0, 3)
-        user.mov_imm(8, system.syscall_numbers["read"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
-        system.map_user_stack()
-
+        entry = system.load_syscall_program("read", 3)
         system.mmu.write_u64(ATTACK_SCRATCH, 0, 1)
-        try:
-            system.run_user(system.tasks.current, program.address_of("main"))
-        except (TaskKilled, KernelPanic) as stopped:
-            return AttackResult(
-                self.name, system.profile.name, "detected", str(stopped)
-            )
+        system.run_user(system.tasks.current, entry)
         if system.mmu.read_u64(ATTACK_SCRATCH, 1) == 0xF00D:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
+            return (
+                "succeeded",
                 "read() dispatched through the attacker's fake ops table",
             )
-        return AttackResult(
-            self.name, system.profile.name, "detected",
-            "dispatch did not reach the attacker function",
-        )
+        return "detected", "dispatch did not reach the attacker function"
 
 
 class RodataWriteAttack(Attack):
@@ -95,19 +73,17 @@ class RodataWriteAttack(Attack):
 
     name = "rodata-fops-write"
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile)
         primitive = ArbitraryMemoryPrimitive(system)
         table = system.kernel_symbol("ext4_fops")
         ok, reason = primitive.try_write_u64(table, 0xDEAD_BEEF)
         if ok:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
+            return (
+                "succeeded",
                 "rodata was writable (hypervisor sealing missing!)",
             )
-        return AttackResult(
-            self.name, system.profile.name, "blocked", reason
-        )
+        return "blocked", reason
 
 
 class CredPointerAttack(Attack):
@@ -115,7 +91,7 @@ class CredPointerAttack(Attack):
 
     name = "cred-pointer-swap"
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(profile)
         cred = system.heap.allocate_raw(64)
         victim = open_file(system, "ext4_fops", cred_address=cred)
@@ -135,16 +111,12 @@ class CredPointerAttack(Attack):
         )
         if not system.profile.dfi:
             # Unprotected kernel: the raw pointer is simply used.
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
+            return (
+                "succeeded",
                 f"kernel now uses forged credentials at {pointer:#x}",
             )
         if ok and pointer == forged:
-            return AttackResult(
-                self.name, system.profile.name, "succeeded",
-                "authentication accepted the forged cred pointer",
+            return (
+                "succeeded", "authentication accepted the forged cred pointer"
             )
-        return AttackResult(
-            self.name, system.profile.name, "detected",
-            "f_cred failed authentication (poisoned on use)",
-        )
+        return "detected", "f_cred failed authentication (poisoned on use)"

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from repro.arch import isa
 from repro.arch.registers import PAuthKey
-from repro.attacks.base import ATTACK_SCRATCH, Attack, AttackResult
+from repro.attacks.base import ATTACK_SCRATCH, Attack
 from repro.cfi.modifiers import SCHEMES
-from repro.errors import KernelPanic, ReproError
-from repro.kernel.fault import TaskKilled
+from repro.errors import ReproError
 from repro.kernel.syscalls import SyscallSpec
 from repro.kernel import layout
 
@@ -139,7 +138,7 @@ class ReplayAttack(Attack):
 
             compiler.function(asm, "sys_vuln", body)
 
-    def run(self, profile):
+    def exploit(self, profile):
         if isinstance(profile, str):
             from repro.cfi.policy import profile_by_name
 
@@ -153,37 +152,19 @@ class ReplayAttack(Attack):
         self._phase = 0
         self._captured = None
 
-        from repro.arch.assembler import Assembler
-
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(8, system.syscall_numbers["vuln"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
-        system.map_user_stack()
+        entry = system.load_syscall_program("vuln")
         system.mmu.write_u64(ATTACK_SCRATCH, 0, 1)
-
-        label = self.name
-        try:
-            system.run_user(system.tasks.current, program.address_of("main"))
-        except (TaskKilled, KernelPanic) as stopped:
-            return AttackResult(
-                label, system.profile.name, "detected",
-                f"[{profile.backward_scheme or 'none'}] {stopped}",
-            )
+        system.run_user(system.tasks.current, entry)
         replays = system.mmu.read_u64(ATTACK_SCRATCH, 1)
         scheme_name = profile.backward_scheme or "none"
         if replays >= 2:
-            return AttackResult(
-                label,
-                system.profile.name,
+            return (
                 "succeeded",
                 f"[{scheme_name}] signed pointer replayed "
                 f"(counter={replays})",
             )
-        return AttackResult(
-            label, system.profile.name, "detected",
+        return (
+            "detected",
             f"[{scheme_name}] replay did not redirect control "
             f"(counter={replays})",
         )

@@ -16,11 +16,8 @@ poisoned pointer instead of entering the gadget.
 from __future__ import annotations
 
 from repro.arch import isa
-from repro.attacks.base import ArbitraryMemoryPrimitive, Attack, AttackResult
-from repro.errors import KernelPanic
-from repro.kernel.fault import TaskKilled
+from repro.attacks.base import ArbitraryMemoryPrimitive, Attack
 from repro.kernel.syscalls import SyscallSpec
-from repro.kernel import layout
 
 __all__ = ["RopInjectionAttack"]
 
@@ -62,7 +59,7 @@ class RopInjectionAttack(Attack):
 
         ctx.compiler.function(asm, "sys_vuln", body)
 
-    def run(self, profile):
+    def exploit(self, profile):
         system = self.build_system(
             profile,
             syscalls=[SyscallSpec("vuln", self._build_vuln)],
@@ -78,34 +75,12 @@ class RopInjectionAttack(Attack):
 
         self._corrupt = corrupt
 
-        from repro.arch.assembler import Assembler
-
-        user = Assembler(layout.USER_TEXT_BASE)
-        user.fn("main")
-        user.mov_imm(8, system.syscall_numbers["vuln"])
-        user.emit(isa.Svc(0), isa.Hlt())
-        program = user.assemble()
-        system.load_user_program(program)
-        system.map_user_stack()
-
-        try:
-            system.run_user(system.tasks.current, program.address_of("main"))
-        except TaskKilled as killed:
-            return AttackResult(
-                self.name, system.profile.name, "detected", str(killed)
-            )
-        except KernelPanic as panic:
-            return AttackResult(
-                self.name, system.profile.name, "detected", str(panic)
-            )
+        entry = system.load_syscall_program("vuln")
+        system.run_user(system.tasks.current, entry)
         if system.cpu.regs.read(_MARKER) == 0xDEAD:
-            return AttackResult(
-                self.name,
-                system.profile.name,
-                "succeeded",
-                "gadget executed via corrupted return address",
+            return (
+                "succeeded", "gadget executed via corrupted return address"
             )
-        return AttackResult(
-            self.name, system.profile.name, "detected",
-            "control flow completed without entering the gadget",
+        return (
+            "detected", "control flow completed without entering the gadget"
         )

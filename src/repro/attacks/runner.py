@@ -1,14 +1,13 @@
-"""Attack campaigns: run the whole suite against every profile.
+"""The attack suite behind the security-evaluation matrix.
 
-Produces the security-evaluation matrix (paper Section 6.2): which
-attacks succeed against an unprotected kernel, which are stopped by
-backward-edge CFI alone, and which need the full design (forward-edge
-CFI + DFI).
+Paper Section 6.2: which attacks succeed against an unprotected kernel,
+which are stopped by backward-edge CFI alone, and which need the full
+design (forward-edge CFI + DFI).  :func:`repro.bench.run_security_matrix`
+runs :func:`default_attacks` against every profile into one
+:class:`~repro.inject.outcome.Matrix`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.attacks.bruteforce import BruteForceAttack
 from repro.attacks.fnptr import JopGadgetAttack, WritableFnPtrAttack
@@ -27,7 +26,7 @@ from repro.attacks.opstable import (
 from repro.attacks.replay import ReplayAttack
 from repro.attacks.rop import RopInjectionAttack
 
-__all__ = ["AttackCampaign", "default_attacks", "CampaignResult"]
+__all__ = ["default_attacks"]
 
 
 def default_attacks():
@@ -51,62 +50,3 @@ def default_attacks():
         # see the ablation benchmarks).
         FrameTamperAttack(),
     ]
-
-
-@dataclass
-class CampaignResult:
-    """Matrix of attack outcomes by profile."""
-
-    results: list = field(default_factory=list)
-
-    def add(self, result):
-        self.results.append(result)
-
-    def outcome(self, attack_name, profile_name):
-        for result in self.results:
-            if result.attack.startswith(attack_name) and result.profile == profile_name:
-                return result.outcome
-        return None
-
-    def matrix(self):
-        """(attack, {profile: outcome}) rows, attack order preserved."""
-        rows = {}
-        order = []
-        for result in self.results:
-            if result.attack not in rows:
-                rows[result.attack] = {}
-                order.append(result.attack)
-            rows[result.attack][result.profile] = result.outcome
-        return [(name, rows[name]) for name in order]
-
-    def render(self):
-        profiles = []
-        for result in self.results:
-            if result.profile not in profiles:
-                profiles.append(result.profile)
-        width = max(len(name) for name, _ in self.matrix()) + 2
-        header = "attack".ljust(width) + "".join(
-            p.rjust(12) for p in profiles
-        )
-        lines = [header, "-" * len(header)]
-        for name, outcomes in self.matrix():
-            lines.append(
-                name.ljust(width)
-                + "".join(outcomes.get(p, "-").rjust(12) for p in profiles)
-            )
-        return "\n".join(lines)
-
-
-class AttackCampaign:
-    """Runs attacks across protection profiles."""
-
-    def __init__(self, attacks=None, profiles=("none", "backward", "full")):
-        self.attacks = attacks if attacks is not None else default_attacks()
-        self.profiles = profiles
-
-    def run(self):
-        campaign = CampaignResult()
-        for attack in self.attacks:
-            for profile in self.profiles:
-                campaign.add(attack.run(profile))
-        return campaign

@@ -16,9 +16,10 @@ from repro.attacks.bruteforce import (
     success_probability,
 )
 from repro.attacks.replay import ReplayAttack, cross_thread_replay_accepted
-from repro.attacks.runner import AttackCampaign
+from repro.attacks.runner import default_attacks
 from repro.bench.figures import BarChart
 from repro.bench.harness import ExperimentRecord, TextTable
+from repro.inject.outcome import Matrix
 from repro.workloads.callbench import figure2_series
 from repro.workloads.lmbench import run_suite
 from repro.workloads.userspace import run_userspace
@@ -245,25 +246,34 @@ def run_survey():
 
 def run_security_matrix(profiles=("none", "backward", "full")):
     """Section 6.2: the attack-detection matrix."""
-    campaign = AttackCampaign(profiles=profiles).run()
-    table = TextTable(
-        "Section 6.2 — security evaluation",
-        ["attack"] + list(profiles),
+    from repro.inject.report import pivot_table  # imports repro.bench
+
+    matrix = Matrix(
+        results=[
+            attack.run(profile)
+            for attack in default_attacks()
+            for profile in profiles
+        ]
     )
-    for name, outcomes in campaign.matrix():
-        table.add_row(name, *[outcomes.get(p, "-") for p in profiles])
+    table = pivot_table(
+        matrix,
+        "Section 6.2 — security evaluation",
+        "attack",
+        profiles,
+        lambda rows: rows[0].outcome,
+    )
     # The full profile must stop every control-flow attack (replay
     # within the documented same-function window is the admitted
     # residual).
     documented_residuals = ("replay-same-function", "exception-frame-tamper")
     full_ok = all(
-        outcomes.get("full") in ("detected", "blocked", None)
-        or name.startswith(documented_residuals)
-        for name, outcomes in campaign.matrix()
+        r.outcome in ("detected", "blocked")
+        or r.site.startswith(documented_residuals)
+        for r in matrix.results
+        if r.profile == "full"
     )
     none_broken = any(
-        outcomes.get("none") == "succeeded"
-        for _, outcomes in campaign.matrix()
+        r.succeeded for r in matrix.results if r.profile == "none"
     )
     return ExperimentRecord(
         experiment_id="E6+E10 / Section 6.2",
@@ -280,7 +290,7 @@ def run_security_matrix(profiles=("none", "backward", "full")):
         ),
         reproduced=full_ok and none_broken,
         tables=[table],
-    ), campaign
+    )
 
 
 def run_replay_matrix():

@@ -10,17 +10,30 @@ into a fault, a panic or an invariant violation.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentRecord, TextTable
+from repro.bench.harness import ExperimentRecord
 from repro.inject import InjectionCampaign
-from repro.inject.points import all_points
+from repro.inject.outcome import Matrix
 
 __all__ = ["run_injection_matrix"]
 
 _PROFILES = ("none", "backward", "full")
 
 
+def _detection_cell(rows):
+    """How one profile fared at one site: the detecting mechanism(s)."""
+    outcomes = {r.outcome for r in rows}
+    if outcomes == {"skipped"}:
+        return "n/a"
+    if "escaped" in outcomes:
+        return "ESCAPED"
+    detectors = {r.detected_by for r in rows if r.detected_by}
+    return "+".join(sorted(detectors)) or "detected"
+
+
 def run_injection_matrix(seed=None, trials=1):
     """One campaign per profile; reproduced iff ``full`` has no escapes."""
+    from repro.inject.report import pivot_table  # imports repro.bench
+
     kwargs = {} if seed is None else {"seed": seed}
     matrices = {
         profile: InjectionCampaign(
@@ -28,31 +41,14 @@ def run_injection_matrix(seed=None, trials=1):
         ).run()
         for profile in _PROFILES
     }
-
-    table = TextTable(
+    merged = Matrix(results=[r for m in matrices.values() for r in m.results])
+    table = pivot_table(
+        merged,
         "Fault-injection detection matrix (outcome per profile)",
-        ["site"] + list(_PROFILES),
+        "site",
+        _PROFILES,
+        _detection_cell,
     )
-    for point in all_points():
-        cells = []
-        for profile in _PROFILES:
-            outcomes = {
-                r.outcome
-                for r in matrices[profile].results
-                if r.site == point.name
-            }
-            if outcomes == {"skipped"}:
-                cells.append("n/a")
-            elif "escaped" in outcomes:
-                cells.append("ESCAPED")
-            else:
-                detectors = {
-                    r.detected_by
-                    for r in matrices[profile].results
-                    if r.site == point.name and r.detected_by
-                }
-                cells.append("+".join(sorted(detectors)) or "detected")
-        table.add_row(point.name, *cells)
 
     full = matrices["full"]
     measured = ", ".join(

@@ -3,7 +3,8 @@
 A campaign boots one fresh system per trial, lets the injection point
 corrupt live state (signed pointers, key registers, exception frames,
 the fault-counting machinery itself), drives the victim workload, and
-classifies the outcome:
+classifies the outcome with :func:`repro.inject.outcome.classify` into
+one :class:`~repro.inject.outcome.Outcome` row:
 
 * ``fault`` — the corruption surfaced as a memory fault and the kernel
   killed the task (the paper's poisoned-pointer detection path);
@@ -23,18 +24,16 @@ detection matrix byte for byte.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
 
 from repro.arch import isa
-from repro.arch.assembler import Assembler
 from repro.arch.isa import SP
 from repro.arch.registers import XZR
 from repro.cfi.keys import KeyRole
 from repro.cfi.policy import profile_by_name
 from repro.errors import KernelPanic, ReproError
-from repro.inject.invariants import InvariantChecker, InvariantViolation
+from repro.inject.invariants import InvariantChecker
+from repro.inject.outcome import Matrix, Outcome, classify
 from repro.inject.points import all_points
 from repro.kernel import layout
 
@@ -45,8 +44,6 @@ __all__ = [
     "CANARY_VICTIM_SYMBOL",
     "CampaignDriver",
     "InjectionCampaign",
-    "InjectionResult",
-    "DetectionMatrix",
     "build_canary_victim",
     "capabilities_of",
 ]
@@ -248,15 +245,7 @@ class CampaignDriver:
     def user_entry(self):
         """Map (once) and return the entry of a one-syscall user program."""
         if self._user_entry is None:
-            system = self.system
-            system.map_user_stack()
-            user = Assembler(layout.USER_TEXT_BASE)
-            user.fn("main")
-            user.mov_imm(8, system.syscall_numbers["getpid"])
-            user.emit(isa.Svc(0), isa.Hlt())
-            program = user.assemble()
-            system.load_user_program(program)
-            self._user_entry = program.address_of("main")
+            self._user_entry = self.system.load_syscall_program("getpid")
         return self._user_entry
 
     def run_user_syscall(self, max_steps=200_000):
@@ -282,89 +271,6 @@ class CampaignDriver:
             "syscalls": self.tracer.count("syscall_enter"),
             "context_switches": self.tracer.count("context_switch"),
         }
-
-
-@dataclass
-class InjectionResult:
-    """Outcome of one (site, trial) injection."""
-
-    site: str
-    trial: int
-    seed: int
-    outcome: str  # "detected" | "escaped" | "skipped"
-    detected_by: str = None  # "fault" | "panic" | "invariant"
-    expected: bool = None  # detection kind was the designed one
-    detail: str = ""
-    evidence: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "site": self.site,
-            "trial": self.trial,
-            "seed": self.seed,
-            "outcome": self.outcome,
-            "detected_by": self.detected_by,
-            "expected": self.expected,
-            "detail": self.detail,
-            "evidence": dict(self.evidence),
-        }
-
-
-@dataclass
-class DetectionMatrix:
-    """All results of one campaign, plus the campaign's identity."""
-
-    profile: str
-    seed: int
-    invariants: bool
-    trials: int
-    results: list = field(default_factory=list)
-
-    def _count(self, outcome):
-        return sum(1 for r in self.results if r.outcome == outcome)
-
-    @property
-    def injected(self):
-        return sum(1 for r in self.results if r.outcome != "skipped")
-
-    @property
-    def detected(self):
-        return self._count("detected")
-
-    @property
-    def escaped(self):
-        return self._count("escaped")
-
-    @property
-    def skipped(self):
-        return self._count("skipped")
-
-    def escapes(self):
-        return [r for r in self.results if r.outcome == "escaped"]
-
-    def by_site(self):
-        sites = {}
-        for result in self.results:
-            sites.setdefault(result.site, []).append(result)
-        return sites
-
-    def to_dict(self):
-        return {
-            "profile": self.profile,
-            "seed": self.seed,
-            "invariants": self.invariants,
-            "trials": self.trials,
-            "summary": {
-                "injected": self.injected,
-                "detected": self.detected,
-                "escaped": self.escaped,
-                "skipped": self.skipped,
-            },
-            "results": [r.to_dict() for r in self.results],
-        }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 class InjectionCampaign:
@@ -420,7 +326,7 @@ class InjectionCampaign:
     def run(self):
         profile_obj = profile_by_name(self.profile)
         caps = capabilities_of(profile_obj)
-        matrix = DetectionMatrix(
+        matrix = Matrix(
             profile=self.profile,
             seed=self.seed,
             invariants=self.invariants,
@@ -432,11 +338,12 @@ class InjectionCampaign:
                 derived = self._derived_seed(index, trial)
                 if missing:
                     matrix.results.append(
-                        InjectionResult(
+                        Outcome(
                             site=point.name,
+                            outcome="skipped",
+                            profile=self.profile,
                             trial=trial,
                             seed=derived,
-                            outcome="skipped",
                             detail=(
                                 f"profile {self.profile!r} lacks "
                                 f"{'+'.join(missing)}"
@@ -448,51 +355,41 @@ class InjectionCampaign:
         return matrix
 
     def _run_trial(self, point, trial, derived):
-        from repro.kernel.fault import TaskKilled
-
         rng = random.Random(derived)
         driver = CampaignDriver(
             profile=self.profile,
             invariants=self.invariants,
             system_seed=derived,
         )
-        detected_by = None
-        detail = ""
+
+        def body():
+            point.inject(driver, rng)
+            if driver.checker is not None:
+                driver.checker.sweep()
+            return "corruption survived undetected"
+
         try:
             try:
-                point.inject(driver, rng)
-                if driver.checker is not None:
-                    driver.checker.sweep()
-            except KernelPanic as exc:
-                detected_by, detail = "panic", str(exc)
-            except TaskKilled as exc:
-                detected_by, detail = "fault", str(exc)
-            except InvariantViolation as exc:
-                detected_by, detail = "invariant", str(exc)
+                detected_by, detail = classify(body)
             except ReproError as exc:
                 # An unclassified host error is NOT a detection — the
                 # corruption broke the harness, not the kernel's
                 # defences.  Report it as an escape so it gets fixed.
-                detail = f"harness error: {exc}"
+                detected_by, detail = None, f"harness error: {exc}"
             evidence = driver.evidence()
         finally:
             driver.close()
-        if detected_by is None:
-            return InjectionResult(
-                site=point.name,
-                trial=trial,
-                seed=derived,
-                outcome="escaped",
-                detail=detail or "corruption survived undetected",
-                evidence=evidence,
-            )
-        return InjectionResult(
+        return Outcome(
             site=point.name,
+            outcome="escaped" if detected_by is None else "detected",
+            profile=self.profile,
             trial=trial,
             seed=derived,
-            outcome="detected",
             detected_by=detected_by,
-            expected=detected_by in point.expected,
+            expected=(
+                None if detected_by is None
+                else detected_by in point.expected
+            ),
             detail=detail,
             evidence=evidence,
         )

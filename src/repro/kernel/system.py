@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch import isa
 from repro.arch.assembler import Assembler
 from repro.arch.cpu import CPU
 from repro.arch.vmsa import VMSAConfig
@@ -523,6 +524,22 @@ class System:
             layout.USER_STACK_TOP, layout.USER_STACK_SIZE, el0=True
         )
         return layout.USER_STACK_TOP
+
+    def load_syscall_program(self, syscall, *args):
+        """Map the user stack and a program that makes one syscall.
+
+        ``main`` moves ``args`` into x0, x1, ..., issues ``syscall`` (a
+        name from :attr:`syscall_numbers`) and halts.  Returns the
+        entry address to pass to :meth:`run_user`.
+        """
+        self.map_user_stack()
+        user = Assembler(layout.USER_TEXT_BASE)
+        user.fn("main")
+        for register, value in enumerate(args):
+            user.mov_imm(register, value)
+        user.mov_imm(8, self.syscall_numbers[syscall])
+        user.emit(isa.Svc(0), isa.Hlt())
+        return self.load_user_program(user.assemble()).address_of("main")
 
     def map_user_data(self, size=4096):
         return self.loader.map_heap(layout.USER_DATA_BASE, size, el0=True)

@@ -397,9 +397,6 @@ def _build_crashme(asm, ctx):
 def force_pauth_panic(profile="full", tracer=None, capacity=8192,
                       fault_threshold=1):
     """Boot, crash, and return the system with ``last_crash`` captured."""
-    from repro.arch.assembler import Assembler
-    from repro.arch import isa
-    from repro.kernel import layout
     from repro.kernel.syscalls import SyscallSpec
     from repro.kernel.system import System
     from repro.trace import Tracer
@@ -412,13 +409,7 @@ def force_pauth_panic(profile="full", tracer=None, capacity=8192,
     if tracer is None:
         tracer = Tracer(capacity=capacity)
     system.attach_tracer(tracer)
-    system.map_user_stack()
-    user = Assembler(layout.USER_TEXT_BASE)
-    user.fn("main")
-    user.mov_imm(8, system.syscall_numbers[CRASHME_SYSCALL])
-    user.emit(isa.Svc(0), isa.Hlt())
-    program = system.load_user_program(user.assemble())
-    entry = program.address_of("main")
+    entry = system.load_syscall_program(CRASHME_SYSCALL)
     task = system.spawn_process(name="crashme")
     try:
         system.run_user(task, entry)

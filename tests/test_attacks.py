@@ -8,7 +8,6 @@ residual windows remain.
 import pytest
 
 from repro.attacks import (
-    AttackCampaign,
     BruteForceAttack,
     CredPointerAttack,
     JopGadgetAttack,
@@ -25,6 +24,7 @@ from repro.attacks import (
     expected_guesses,
     success_probability,
 )
+from repro.inject.outcome import Matrix
 
 
 class TestRopInjection:
@@ -132,18 +132,25 @@ class TestKeyConfidentiality:
 
 class TestCampaign:
     def test_matrix_shape(self):
-        campaign = AttackCampaign(
-            attacks=[RopInjectionAttack(), RodataWriteAttack()],
-            profiles=("none", "full"),
-        ).run()
-        matrix = campaign.matrix()
-        assert len(matrix) == 2
-        assert campaign.outcome("rop-injection", "none") == "succeeded"
-        assert campaign.outcome("rop-injection", "full") == "detected"
+        matrix = Matrix(
+            results=[
+                attack.run(profile)
+                for attack in (RopInjectionAttack(), RodataWriteAttack())
+                for profile in ("none", "full")
+            ]
+        )
+        pivot = matrix.pivot()
+        assert list(pivot) == ["rop-injection", "rodata-fops-write"]
+        assert all(list(row) == ["none", "full"] for row in pivot.values())
+        (unprotected,) = pivot["rop-injection"]["none"]
+        (protected,) = pivot["rop-injection"]["full"]
+        assert unprotected.outcome == "succeeded"
+        assert protected.outcome == "detected"
 
     def test_render_contains_profiles(self):
-        campaign = AttackCampaign(
-            attacks=[RodataWriteAttack()], profiles=("none",)
-        ).run()
-        assert "none" in campaign.render()
-        assert "rodata" in campaign.render()
+        from repro.bench import run_security_matrix
+
+        (table,) = run_security_matrix(profiles=("none",)).tables
+        text = table.render()
+        assert "none" in text
+        assert "rodata" in text

@@ -93,9 +93,7 @@ def main():
     print("running E5 (survey)...")
     add(run_survey())
     print("running E6/E10 (security matrix)...")
-    record, campaign = run_security_matrix()
-    add(record)
-    sections.append("```\n" + campaign.render() + "\n```\n")
+    add(run_security_matrix())
     print("running E6b (replay windows)...")
     add(run_replay_matrix())
     print("running E7 (brute force)...")
