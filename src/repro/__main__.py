@@ -494,8 +494,8 @@ def main(argv=None):
     trace.add_argument(
         "--no-instructions",
         action="store_true",
-        help="aggregate instruction counts only (lighter, no per-key "
-        "attribution events)",
+        help="retain no insn_retire events (lighter; counters, "
+        "histograms and key-switch accounting are unchanged)",
     )
     trace.add_argument(
         "--top",

@@ -33,7 +33,9 @@ normalised throughput; it fails when
 * any workload's normalised cached throughput regresses more than the
   tolerance (default 25%) against the baseline,
 * any workload's cache speedup ratio regresses more than the tolerance,
-* the lmbench speedup falls under :data:`LMBENCH_MIN_SPEEDUP` (2x), or
+* the lmbench speedup falls under :data:`LMBENCH_MIN_SPEEDUP` (2x),
+* the profiler's observer cost (``observer.host_overhead``) grows past
+  its baseline by more than the tolerance, or
 * a cached run stops being architecturally identical to the uncached one.
 
 Run via ``python -m repro perf`` (see ``--help``); CI keeps
@@ -160,7 +162,7 @@ def _measure_lmbench_profiled(iterations):
 
     Pinned alongside the detached run so the gate tracks the *observer
     cost* of profiling: host throughput may drop (every retired
-    instruction fans out to a listener), but the architectural fields
+    instruction runs the per-instruction hooks), but the architectural fields
     must stay identical to ``lmbench_null_call`` — attaching a profiler
     never changes a simulated outcome.
     """
@@ -304,7 +306,7 @@ def run_perf(iterations=150, pac_operations=3000):
     attached = report["workloads"].get("lmbench_profiled")
     if detached is not None and attached is not None:
         # The observer-cost record the gate tracks across revisions:
-        # host slowdown from the attached listener, and the hard
+        # host slowdown from the attached profiler, and the hard
         # invariant that the simulated cycle count did not move.
         report["observer"] = {
             "attached_instructions_per_sec": attached["cached"][
@@ -401,6 +403,17 @@ def compare(current, baseline, tolerance=TOLERANCE):
             failures.append(
                 "observer: per-symbol cycles do not sum to the tracer total"
             )
+        base_observer = baseline.get("observer")
+        if base_observer is not None:
+            budget = base_observer["host_overhead"] * (1.0 + tolerance)
+            if observer["host_overhead"] > budget:
+                failures.append(
+                    f"observer: profiler cost "
+                    f"{observer['host_overhead']:.2f}x is over its budget "
+                    f"{budget:.2f}x (baseline "
+                    f"{base_observer['host_overhead']:.2f}x, tolerance "
+                    f"{100 * tolerance:.0f}%)"
+                )
     return failures
 
 

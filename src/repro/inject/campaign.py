@@ -122,11 +122,13 @@ class CampaignDriver:
     """One trial's worth of live kernel: a booted system plus the
     victim workloads injection points corrupt and then drive.
 
-    The driver owns a tracer (instruction events on, so mid-run tamper
-    listeners can key on PC regions) and, when enabled, the invariant
-    checker.  Injection points receive the driver and a seeded RNG and
-    use only these helpers plus public system API — they never reach
-    into campaign internals.
+    The driver owns a tracer and, when enabled, the invariant checker.
+    The tracer retains instruction events, so a trial's crash dump can
+    show the retired stream in its ring tail; mid-run tampers key on PC
+    regions through per-instruction hooks, which see every retire
+    whether or not it is retained.  Injection points receive the
+    driver and a seeded RNG and use only these helpers plus public
+    system API — they never reach into campaign internals.
     """
 
     def __init__(

@@ -296,9 +296,11 @@ def _symbol_range(image, symbol):
 class EntryTracepoints:
     """Kernel-entry semantic events, derived from architectural ones.
 
-    Registered as a tracer listener by
-    :meth:`~repro.kernel.system.System.attach_tracer`.  It watches the
-    raw core events and emits the entry layer's semantic stream:
+    Registered by :meth:`~repro.kernel.system.System.attach_tracer` as
+    a tracer listener (key writes, exception entry/return) and as a
+    per-instruction hook (:meth:`on_insn`), so it works whether or not
+    the tracer retains ``insn_retire`` events.  It watches the raw core
+    events and emits the entry layer's semantic stream:
 
     * ``syscall_enter``/``syscall_exit`` and ``irq_enter``/``irq_exit``
       from exception entry/return (exit events carry the full kernel
@@ -311,11 +313,11 @@ class EntryTracepoints:
       ``__restore_user_keys``, with the total cycles spent inside
       (including modifier scrubbing and the return).
 
-    Cycle attribution works by PC region: instruction-retire events are
+    Cycle attribution works by PC region: retired instructions are
     binned against the key setter's page and the restore function's
-    symbol range, so the instrumented entry stubs themselves need no
-    extra instructions — traced and untraced kernels execute the exact
-    same text.
+    symbol range (once per PC, then memoised), so the instrumented
+    entry stubs themselves need no extra instructions — traced and
+    untraced kernels execute the exact same text.
     """
 
     def __init__(self, system, tracer):
@@ -323,6 +325,7 @@ class EntryTracepoints:
         self.tracer = tracer
         self._exceptions = []  # stack of (kind, enter cycle, syscall nr)
         self._regions = self._key_regions()
+        self._banks = {}  # pc -> key bank whose code holds it, or None
         self._bank = None
         self._bank_cycles = 0
         self._since_key = 0
@@ -353,9 +356,7 @@ class EntryTracepoints:
 
     def __call__(self, event):
         kind = event.kind
-        if kind == "insn_retire":
-            self._on_insn(event)
-        elif kind == "key_write":
+        if kind == "key_write":
             self._on_key_write(event)
         elif kind == "exception_entry":
             self._on_exception_entry(event)
@@ -395,13 +396,16 @@ class EntryTracepoints:
                 return bank
         return None
 
-    def _on_insn(self, event):
-        bank = self._bank_of(event.data.get("pc", 0))
+    def on_insn(self, cpu, pc, instruction, cost):
+        try:
+            bank = self._banks[pc]
+        except KeyError:
+            bank = self._banks[pc] = self._bank_of(pc)
         if bank != self._bank:
             if self._bank is not None:
                 self.tracer.emit(
                     "key_bank_switch",
-                    cycle=event.cycle,
+                    cycle=cpu.cycles,
                     cost=self._bank_cycles,
                     bank=self._bank,
                     keys=self._keys_done,
@@ -414,15 +418,15 @@ class EntryTracepoints:
             self._key_pending = None
         if bank is None:
             return
-        self._bank_cycles += event.cost
-        self._since_key += event.cost
+        self._bank_cycles += cost
+        self._since_key += cost
         if self._key_pending is not None:
             # The MSR that completed the key has now retired, so its
             # own cycles are included in the per-key attribution.
             self._keys_done += 1
             self.tracer.emit(
                 "key_switch",
-                cycle=event.cycle,
+                cycle=cpu.cycles,
                 cost=self._since_key,
                 key=self._key_pending,
                 bank=bank,
@@ -503,9 +507,9 @@ def build_restore_user_keys(asm, profile, current_ptr_address, banked=False):
 # kernel is handling a system call — the Section 8 observation that
 # "attacks targeting the interrupt handler could potentially modify or
 # replace kernel register content".  The tamper is host-side but timed
-# architecturally: a tracer listener fires it when the first handler
-# instruction retires, i.e. after the frame is saved and before the
-# exit path reads it back.
+# architecturally: a per-instruction tracer hook fires it when the
+# first handler instruction retires, i.e. after the frame is saved and
+# before the exit path reads it back.
 
 
 def _tamper_frame_during_syscall(driver, offset, value):
@@ -516,19 +520,16 @@ def _tamper_frame_during_syscall(driver, offset, value):
     handler = _symbol_range(system.kernel_image, "sys_getpid")
     state = {"done": False}
 
-    def tamper(event):
-        if state["done"] or event.kind != "insn_retire":
-            return
-        pc = event.data.get("pc", 0)
-        if handler[0] <= pc < handler[1]:
+    def tamper(cpu, pc, instruction, cost):
+        if not state["done"] and handler[0] <= pc < handler[1]:
             state["done"] = True
             system.mmu.write_u64(slot, value, 1)
 
-    system.tracer.add_listener(tamper)
+    system.tracer.add_insn_hook(tamper)
     try:
         driver.run_user_syscall()
     finally:
-        system.tracer.remove_listener(tamper)
+        system.tracer.remove_insn_hook(tamper)
     if not state["done"]:
         raise ReproError("frame tamper never triggered — no handler ran")
 

@@ -151,10 +151,11 @@ def _inject_mid_switch_sp_redirect(driver, rng):
 
     The race the signing is designed to win: the attacker's raw stack
     pointer lands in the task struct after the victim signed it but
-    before the switch path authenticates it.  A tracer listener fires
-    the write when the first switch instruction retires — before the
-    LDR of ``cpu_context_sp`` — so the AUTDB sees the attacker value,
-    rejects it, and the poisoned SP faults on the next stack touch.
+    before the switch path authenticates it.  A per-instruction tracer
+    hook fires the write when the first switch instruction retires —
+    before the LDR of ``cpu_context_sp`` — so the AUTDB sees the
+    attacker value, rejects it, and the poisoned SP faults on the next
+    stack touch.
     """
     system = driver.system
     target = driver.prepare_switch_target()  # correctly signed
@@ -162,19 +163,16 @@ def _inject_mid_switch_sp_redirect(driver, rng):
     switch = _symbol_range(system.kernel_image, CPU_SWITCH_TO_SYMBOL)
     state = {"done": False}
 
-    def tamper(event):
-        if state["done"] or event.kind != "insn_retire":
-            return
-        pc = event.data.get("pc", 0)
-        if switch[0] <= pc < switch[1]:
+    def tamper(cpu, pc, instruction, cost):
+        if not state["done"] and switch[0] <= pc < switch[1]:
             state["done"] = True
             target.kobj.raw_write("cpu_context_sp", fake)
 
-    system.tracer.add_listener(tamper)
+    system.tracer.add_insn_hook(tamper)
     try:
         driver.switch_and_touch(target)
     finally:
-        system.tracer.remove_listener(tamper)
+        system.tracer.remove_insn_hook(tamper)
 
 
 from repro.inject.points import InjectionPoint, register_point  # noqa: E402

@@ -390,8 +390,9 @@ class System:
         The core emits architectural events (instruction retire, PAC
         ops, exceptions, key writes), the PAC engine reports host-side
         signing too, the fault manager reports faults and panic ticks,
-        and the entry tracepoints translate the raw stream into
-        semantic syscall/key-switch events.  Detach with
+        and the entry tracepoints (a listener plus a per-instruction
+        hook) translate the raw stream into semantic syscall/key-switch
+        events.  Detach with
         :meth:`detach_tracer`; attaching never changes simulated cycle
         counts.
         """
@@ -404,6 +405,7 @@ class System:
         self.faults.tracer = tracer
         self._entry_tracepoints = EntryTracepoints(self, tracer)
         tracer.add_listener(self._entry_tracepoints)
+        tracer.add_insn_hook(self._entry_tracepoints.on_insn)
         return tracer
 
     def detach_tracer(self):
@@ -413,6 +415,7 @@ class System:
         if self.tracer is None:
             return
         self.tracer.remove_listener(self._entry_tracepoints)
+        self.tracer.remove_insn_hook(self._entry_tracepoints.on_insn)
         self._entry_tracepoints = None
         detach_cpu(self.cpu)
         self.faults.tracer = None

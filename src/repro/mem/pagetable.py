@@ -42,10 +42,6 @@ class Permissions:
         return getattr(self, f"{access}_{suffix}")
 
     @classmethod
-    def kernel_text(cls):
-        return cls(r_el1=True, x_el1=True)
-
-    @classmethod
     def kernel_rodata(cls):
         return cls(r_el1=True)
 
@@ -60,10 +56,6 @@ class Permissions:
     @classmethod
     def user_data(cls):
         return cls(r_el0=True, w_el0=True, r_el1=True, w_el1=True)
-
-    @classmethod
-    def all_access(cls):
-        return cls(True, True, True, True, True, True)
 
 
 @dataclass(frozen=True)
@@ -100,9 +92,6 @@ class Stage1Table:
         """Return the :class:`Mapping` for a virtual page, or None."""
         return self._entries.get(vpn)
 
-    def mapped_pages(self):
-        return sorted(self._entries)
-
 
 class Stage2Table:
     """Hypervisor-controlled physical-address permission filter.
@@ -137,6 +126,3 @@ class Stage2Table:
         if access == "x":
             return x_el1 if el == 1 else x_el0
         raise ReproError(f"unknown access type {access!r}")
-
-    def restricted_frames(self):
-        return sorted(self._entries)

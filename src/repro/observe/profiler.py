@@ -1,9 +1,11 @@
 """Function-graph profiler: per-symbol cycle attribution over the trace.
 
-The profiler is a plain tracer *listener* — it consumes the same event
-stream :mod:`repro.trace` already produces (``insn_retire``, the PAC
-engine events, exception entry/return) and folds it against a
-:class:`~repro.observe.symbols.SymbolTable` into:
+The profiler consumes what :mod:`repro.trace` already produces: every
+retired instruction through a per-instruction hook
+(:meth:`Profiler.on_insn`, registered with
+:meth:`~repro.trace.tracer.Tracer.add_insn_hook`), and the PAC engine
+and exception entry/return events as a tracer listener.  It folds both
+against a :class:`~repro.observe.symbols.SymbolTable` into:
 
 * **exclusive cycles** per symbol — the retired-instruction costs of
   instructions whose PC lies inside the function;
@@ -60,7 +62,11 @@ _PAC_EVENTS = frozenset(
 
 
 class Profiler:
-    """Tracer listener folding events into per-symbol attribution."""
+    """Per-symbol cycle attribution over a tracer's stream.
+
+    :meth:`on_insn` is the per-instruction hook; calling the profiler
+    with an event is the listener for PAC and exception events.
+    """
 
     def __init__(self, symbols=None):
         self.symbols = symbols if symbols is not None else SymbolTable()
@@ -79,9 +85,7 @@ class Profiler:
 
     def __call__(self, event):
         kind = event.kind
-        if kind == ev.INSN_RETIRE:
-            self._on_insn(event)
-        elif kind in _PAC_EVENTS:
+        if kind in _PAC_EVENTS:
             if event.cost:
                 if self._pac_pending:
                     # Two costed PAC ops without a retire in between:
@@ -99,9 +103,8 @@ class Profiler:
         elif kind == ev.EXC_RETURN:
             self._eret_arm = True
 
-    def _on_insn(self, event):
-        data = event.data
-        symbol = self.symbols.resolve(data["pc"]).name
+    def on_insn(self, cpu, pc, instruction, cost):
+        symbol = self.symbols.resolve(pc).name
         stack = self._stack
         pending = self._pending
         if pending == "call":
@@ -117,13 +120,12 @@ class Profiler:
             stack.append(symbol)
         elif stack[-1] != symbol:
             stack[-1] = symbol  # tail call / resync
-        cost = event.cost
         key = tuple(stack)
         self.folded[key] = self.folded.get(key, 0) + cost
         self.exclusive[symbol] = self.exclusive.get(symbol, 0) + cost
         if self._pac_pending:
             self._bill_pac(symbol)
-        mnemonic = data["mnemonic"]
+        mnemonic = instruction.mnemonic
         if mnemonic in CALL_MNEMONICS:
             self._pending = "call"
         elif mnemonic in RET_MNEMONICS:
@@ -223,7 +225,10 @@ class ProfileSession:
     resolve through its kernel image, key-setter page and modules) or a
     bare CPU (pass the assembled ``programs`` the run will execute).
     Yields the :class:`Profiler`; the underlying tracer is available as
-    ``session.tracer`` for conservation checks against its totals.
+    ``session.tracer`` for conservation checks against its totals.  The
+    default tracer keeps counters and histograms but retains no
+    ``insn_retire`` events; pass ``tracer=Tracer(instructions=True)``
+    to keep the retired stream as well.
     """
 
     def __init__(self, target, programs=(), symbols=None, tracer=None,
@@ -235,18 +240,13 @@ class ProfileSession:
         self._symbols = symbols
         self._session = TraceSession(
             target=target, tracer=tracer, capacity=capacity,
-            instructions=True,
+            instructions=False,
         )
         self.profiler = None
         self.tracer = None
 
     def __enter__(self):
         self.tracer = self._session.__enter__()
-        if not self.tracer.instructions:
-            self._session.__exit__(None, None, None)
-            raise ReproError(
-                "profiling needs a tracer retaining insn_retire events"
-            )
         symbols = self._symbols
         if symbols is None:
             if hasattr(self.target, "attach_tracer"):
@@ -257,10 +257,12 @@ class ProfileSession:
             symbols.add_program(program)
         self.profiler = Profiler(symbols)
         self.tracer.add_listener(self.profiler)
+        self.tracer.add_insn_hook(self.profiler.on_insn)
         return self.profiler
 
     def __exit__(self, exc_type, exc_value, traceback):
         if self.profiler is not None:
             self.profiler.finalize()
             self.tracer.remove_listener(self.profiler)
+            self.tracer.remove_insn_hook(self.profiler.on_insn)
         return self._session.__exit__(exc_type, exc_value, traceback)

@@ -50,6 +50,7 @@ class SymbolTable:
         self._entries = []  # (address, limit, name); sorted lazily
         self._names = {}  # name -> entry address
         self._sorted = False
+        self._resolved = {}  # address -> Symbol
         if include_landing_pad:
             self.add_region(LANDING_SYMBOL, _landing_pad_address(), 4096)
 
@@ -60,6 +61,7 @@ class SymbolTable:
         self._entries.append((address, limit, name))
         self._names.setdefault(name, address)
         self._sorted = False
+        self._resolved.clear()
         return self
 
     def add_region(self, name, base, size):
@@ -121,7 +123,17 @@ class SymbolTable:
             self._sorted = True
 
     def resolve(self, address):
-        """Bin ``address`` to a :class:`Symbol` (never fails)."""
+        """Bin ``address`` to a :class:`Symbol` (never fails).
+
+        Memoised per address: the answer depends only on the registered
+        entries, and registering one clears the memo.
+        """
+        symbol = self._resolved.get(address)
+        if symbol is None:
+            symbol = self._resolved[address] = self._lookup(address)
+        return symbol
+
+    def _lookup(self, address):
         self._ensure_sorted()
         index = bisect_right(self._addresses, address) - 1
         if index >= 0:

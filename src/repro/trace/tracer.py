@@ -2,13 +2,17 @@
 
 One :class:`Tracer` collects everything a traced run produces:
 
-* every event goes through :meth:`Tracer.emit`, which appends it to the
-  ring buffer, bumps the per-kind counter, folds its cost into the
-  per-kind cycle statistics, and fans it out to registered listeners
-  (the kernel's semantic tracepoints are such listeners);
-* the per-instruction fast path (:meth:`Tracer.insn`) additionally
-  maintains the instruction-mix table (cycles per mnemonic) that lets a
-  benchmark break its total down by instruction class.
+* every event but ``insn_retire`` goes through :meth:`Tracer.emit`,
+  which appends it to the ring buffer, bumps the per-kind counter, folds
+  its cost into the per-kind cycle statistics, and fans it out to
+  registered listeners;
+* every retired instruction goes through :meth:`Tracer.insn`, which
+  keeps the same counter and statistics plus the instruction-mix table
+  (cycles per mnemonic), appends an ``insn_retire`` event to the ring
+  only when the tracer retains instructions, and calls the
+  per-instruction hooks (:meth:`Tracer.add_insn_hook`) directly with
+  ``(cpu, pc, instruction, cost)`` — the profiler, the kernel's entry
+  tracepoints and the injection tampers are such hooks.
 
 The *disabled* path costs nothing: components hold a nullable tracer
 reference and emit only behind a single ``is not None`` check, and the
@@ -103,10 +107,11 @@ class Tracer:
         Ring-buffer size for raw events (counters never drop).
     instructions:
         Keep raw :data:`~repro.trace.events.INSN_RETIRE` events in the
-        ring.  With ``False`` they still hit the counters and the
-        instruction-mix table but are not retained individually (and
-        listeners do not see them) — a lighter mode for long runs that
-        only need aggregate numbers.
+        ring.  With ``False`` no event is built per instruction; the
+        counters, the instruction-mix table and the per-instruction
+        hooks see every retire either way.  Listeners never see
+        ``insn_retire``: per-instruction consumers register with
+        :meth:`add_insn_hook`.
     """
 
     def __init__(self, capacity=65536, instructions=True):
@@ -116,6 +121,7 @@ class Tracer:
         self.stats = {}
         self.insn_mix = {}
         self.listeners = []
+        self.insn_hooks = []
         self.enabled = True
         #: Cycle source used when an event has no explicit timestamp;
         #: set on attach to the core's cycle counter.
@@ -141,7 +147,11 @@ class Tracer:
         return event
 
     def insn(self, cpu, pc, instruction, cost):
-        """Per-retired-instruction fast path (called by the core)."""
+        """Per-retired-instruction fast path (called by the core).
+
+        Counts the retire, retains its event when :attr:`instructions`
+        is set, then calls each hook in registration order.
+        """
         if not self.enabled:
             return
         mnemonic = instruction.mnemonic
@@ -150,23 +160,24 @@ class Tracer:
             mix = self.insn_mix[mnemonic] = [0, 0]
         mix[0] += 1
         mix[1] += cost
+        counters = self.counters
+        counters[ev.INSN_RETIRE] = counters.get(ev.INSN_RETIRE, 0) + 1
+        stats = self.stats.get(ev.INSN_RETIRE)
+        if stats is None:
+            stats = self.stats[ev.INSN_RETIRE] = CycleStats()
+        stats.add(cost)
         if self.instructions:
-            self.emit(
-                ev.INSN_RETIRE,
-                cycle=cpu.cycles,
-                cost=cost,
-                pc=pc,
-                mnemonic=mnemonic,
-                el=cpu.regs.current_el,
+            self.ring.append(
+                ev.TraceEvent(
+                    ev.INSN_RETIRE,
+                    cpu.cycles,
+                    cost,
+                    {"pc": pc, "mnemonic": mnemonic,
+                     "el": cpu.regs.current_el},
+                )
             )
-        else:
-            self.counters[ev.INSN_RETIRE] = (
-                self.counters.get(ev.INSN_RETIRE, 0) + 1
-            )
-            stats = self.stats.get(ev.INSN_RETIRE)
-            if stats is None:
-                stats = self.stats[ev.INSN_RETIRE] = CycleStats()
-            stats.add(cost)
+        for hook in self.insn_hooks:
+            hook(cpu, pc, instruction, cost)
 
     def pac_event(self, op, ok=True):
         """PAC-engine hook: one engine operation (on-core or host)."""
@@ -177,7 +188,7 @@ class Tracer:
             return self.emit(kind, cost=PAUTH_CYCLES, ok=ok)
         return self.emit(kind, cost=PAUTH_CYCLES)
 
-    # -- listeners -----------------------------------------------------------
+    # -- listeners and per-instruction hooks ----------------------------------
 
     def add_listener(self, listener):
         self.listeners.append(listener)
@@ -186,6 +197,15 @@ class Tracer:
     def remove_listener(self, listener):
         if listener in self.listeners:
             self.listeners.remove(listener)
+
+    def add_insn_hook(self, hook):
+        """Call ``hook(cpu, pc, instruction, cost)`` on every retire."""
+        self.insn_hooks.append(hook)
+        return hook
+
+    def remove_insn_hook(self, hook):
+        if hook in self.insn_hooks:
+            self.insn_hooks.remove(hook)
 
     # -- queries -------------------------------------------------------------
 

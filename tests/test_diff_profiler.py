@@ -14,7 +14,7 @@ import pytest
 
 from repro import hotpath
 from repro.observe import ProfileSession
-from repro.trace import TraceSession
+from repro.trace import Tracer, TraceSession
 
 
 def _callbench_outcome(profiled):
@@ -23,7 +23,9 @@ def _callbench_outcome(profiled):
     iterations = 25
     cpu, program = _prepare("camouflage", iterations)
     if profiled:
-        session = ProfileSession(cpu, programs=[program])
+        session = ProfileSession(
+            cpu, programs=[program], tracer=Tracer(instructions=True)
+        )
         with session as _profiler:
             per_call = _run_prepared(cpu, program, iterations)
         tracer = session.tracer
@@ -44,7 +46,9 @@ def _lmbench_outcome(profiled):
     system = build_lmbench_system("full")
     system.map_user_stack()
     if profiled:
-        session = ProfileSession(system, capacity=262144)
+        session = ProfileSession(
+            system, tracer=Tracer(capacity=262144, instructions=True)
+        )
         with session as _profiler:
             cycles = _measure_one(system, "null_call", iterations)
         tracer = session.tracer
@@ -129,3 +133,38 @@ class TestCrashCaptureObserverEffect:
         first = force_pauth_panic().last_crash.data
         second = force_pauth_panic().last_crash.data
         assert first == second
+
+
+class TestDefaultSessionRetention:
+    """A default ProfileSession keeps the aggregates, not the stream."""
+
+    def _tracer(self, profiled):
+        from repro.workloads.lmbench import _measure_one, build_lmbench_system
+
+        system = build_lmbench_system("full")
+        system.map_user_stack()
+        if profiled:
+            session = ProfileSession(system)
+            with session:
+                _measure_one(system, "null_call", 8)
+            return session.tracer
+        with TraceSession(target=system) as tracer:
+            _measure_one(system, "null_call", 8)
+        return tracer
+
+    def test_ring_has_no_retires_and_aggregates_match_detached(self):
+        profiled, detached = self._tracer(True), self._tracer(False)
+        assert profiled.events("insn_retire") == []
+        assert detached.events("insn_retire")
+        assert profiled.counters == detached.counters
+        # Histograms of every kind, insn_retire included.
+        assert {kind: s.as_dict() for kind, s in profiled.stats.items()} == {
+            kind: s.as_dict() for kind, s in detached.stats.items()
+        }
+        assert profiled.insn_mix == detached.insn_mix
+        # Every other event is still retained, in the same order.
+        assert [e.to_dict() for e in profiled.events()] == [
+            e.to_dict()
+            for e in detached.events()
+            if e.kind != "insn_retire"
+        ]

@@ -9,6 +9,7 @@ cycles sum exactly to the tracer's PAC-event totals.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,6 +57,17 @@ class TestSymbolTable:
         beta = table.entry_of("beta")
         assert table.resolve(beta).name == "beta"
         assert table.resolve(beta + 4) == table.resolve(beta + 4)
+
+    def test_function_added_after_a_lookup_resolves(self):
+        table = SymbolTable(include_landing_pad=False)
+        table.add_program(_two_function_program())
+        late = 0x2000
+        assert table.resolve(late).name == "<user>"
+        assert table.resolve(0x1004) is table.resolve(0x1004)  # memoised
+        table.add_function("gamma", late, limit=late + 16)
+        assert table.resolve(late).name == "gamma"
+        assert table.resolve(late + 4) == ("gamma", late, 4, "function")
+        assert table.resolve(0x1004).name == "alpha"
 
     def test_labels_are_not_entries(self):
         table = SymbolTable(include_landing_pad=False)
@@ -105,14 +117,13 @@ class TestSymbolTable:
         )
 
 
-def _insn(pc, mnemonic="nop", cost=1):
-    return ev.TraceEvent(
-        ev.INSN_RETIRE, 0, cost, {"pc": pc, "mnemonic": mnemonic, "el": 1}
-    )
+def _retire(profiler, pc, mnemonic="nop", cost=1):
+    """Drive the profiler's per-instruction hook with one retire."""
+    profiler.on_insn(None, pc, SimpleNamespace(mnemonic=mnemonic), cost)
 
 
 class TestProfilerStateMachine:
-    """Synthetic event streams pin the call/ret/exception transitions."""
+    """Synthetic retires and events pin the call/ret/exception transitions."""
 
     def _profiler(self):
         table = SymbolTable(include_landing_pad=False)
@@ -122,24 +133,24 @@ class TestProfilerStateMachine:
     def test_call_pushes_after_the_branch_retires(self):
         profiler, table = self._profiler()
         beta = table.entry_of("beta")
-        profiler(_insn(0x1000, "bl"))
-        profiler(_insn(beta))
+        _retire(profiler, 0x1000, "bl")
+        _retire(profiler, beta)
         assert profiler.calls == {"beta": 1}
         assert ("alpha", "beta") in profiler.folded
 
     def test_ret_pops_the_callee(self):
         profiler, table = self._profiler()
         beta = table.entry_of("beta")
-        profiler(_insn(0x1000, "bl"))
-        profiler(_insn(beta, "ret"))
-        profiler(_insn(0x1004))
+        _retire(profiler, 0x1000, "bl")
+        _retire(profiler, beta, "ret")
+        _retire(profiler, 0x1004)
         assert profiler.folded.get(("alpha",)) == 2
 
     def test_pac_cost_bills_the_next_retire(self):
         profiler, table = self._profiler()
-        profiler(_insn(0x1000, "bl"))
+        _retire(profiler, 0x1000, "bl")
         profiler(ev.TraceEvent(ev.PAC_ADD, 0, 4, {}))
-        profiler(_insn(table.entry_of("beta"), "pacib"))
+        _retire(profiler, table.entry_of("beta"), "pacib")
         assert profiler.pauth == {"beta": 4}
 
     def test_orphan_pac_cost_lands_on_the_host(self):
@@ -152,14 +163,14 @@ class TestProfilerStateMachine:
     def test_exception_and_eret_bracket_handler_frames(self):
         profiler, table = self._profiler()
         handler = 0xFFFF_0000_0800_0000
-        profiler(_insn(0x1000))
+        _retire(profiler, 0x1000)
         profiler(ev.TraceEvent(ev.EXC_ENTRY, 0, 0, {"exc": "svc"}))
-        profiler(_insn(0x1004, "svc"))
-        profiler(_insn(handler))
+        _retire(profiler, 0x1004, "svc")
+        _retire(profiler, handler)
         assert ("alpha", "<kernel>") in profiler.folded
         profiler(ev.TraceEvent(ev.EXC_RETURN, 0, 0, {}))
-        profiler(_insn(handler + 4, "eret"))
-        profiler(_insn(0x1008))
+        _retire(profiler, handler + 4, "eret")
+        _retire(profiler, 0x1008)
         assert profiler.folded[("alpha",)] == 3
 
 

@@ -132,6 +132,21 @@ class TestCompare:
         assert len(failures) == 1
         assert "regenerate the baseline" in failures[0]
 
+    def test_observer_overhead_over_budget_fails(self):
+        baseline = _synthetic_report()
+        baseline["observer"] = {
+            "host_overhead": 2.0,
+            "architectural_match": True,
+            "conserved": True,
+        }
+        current = copy.deepcopy(baseline)
+        current["observer"]["host_overhead"] = 2.4  # inside 2.0 x 1.25
+        assert compare(current, baseline) == []
+        current["observer"]["host_overhead"] = 2.6  # over 2.5x
+        failures = compare(current, baseline)
+        assert len(failures) == 1
+        assert "over its budget 2.50x" in failures[0]
+
     def test_wider_tolerance_accepts_more(self):
         baseline = _synthetic_report()
         current = copy.deepcopy(baseline)

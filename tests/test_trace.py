@@ -165,10 +165,46 @@ class TestCpuTracing:
 
     def test_instructions_false_counts_without_retaining(self, machine):
         tracer = attach_cpu(machine.cpu, Tracer(instructions=False))
+        seen = []
+        hooked = tracer.add_insn_hook(lambda *retire: seen.append(retire))
         machine.run(_pac_program(machine), args=(0x1234, 0))
         assert tracer.count("insn_retire") == 4  # incl. the HLT pad
         assert tracer.events("insn_retire") == []
         assert tracer.insn_mix["pacia"] == [1, 4]
+        assert len(seen) == 4  # hooks see every retire regardless
+        tracer.remove_insn_hook(hooked)
+        assert tracer.insn_hooks == []
+
+    def test_insn_hooks_run_in_attach_order_after_the_ring_append(
+        self, machine
+    ):
+        tracer = attach_cpu(machine.cpu, Tracer())
+        seen = []
+
+        def hook(name):
+            def on_insn(cpu, pc, instruction, cost):
+                newest = tracer.events()[-1]
+                assert newest.kind == "insn_retire"
+                assert newest.data["pc"] == pc
+                assert newest.cycle == cpu.cycles
+                seen.append((name, instruction.mnemonic, cost))
+
+            return on_insn
+
+        first = tracer.add_insn_hook(hook("first"))
+        tracer.add_insn_hook(hook("second"))
+        kinds = []
+        tracer.add_listener(lambda event: kinds.append(event.kind))
+        machine.run(_pac_program(machine), args=(0x1234, 0))
+        assert [name for name, _, _ in seen] == ["first", "second"] * 4
+        assert [m for _, m, _ in seen[::2]] == ["pacia", "autia", "ret", "hlt"]
+        assert sum(cost for name, _, cost in seen if name == "first") == (
+            tracer.stats["insn_retire"].total
+        )
+        # Listeners get every other kind but never the retire stream.
+        assert "pac_add" in kinds and "insn_retire" not in kinds
+        tracer.remove_insn_hook(first)
+        assert len(tracer.insn_hooks) == 1
 
 
 class TestTraceSession:
@@ -271,6 +307,25 @@ class TestCli:
         hist = data["histograms"]["key_switch"]
         assert hist["count"] == 12
         assert data["instruction_mix"]["msr"]["count"] > 0
+
+    def test_no_instructions_keeps_key_switch_accounting(self, tmp_path):
+        from repro.__main__ import main
+
+        histograms = {}
+        for flags in ((), ("--no-instructions",)):
+            path = tmp_path / f"trace{len(flags)}.json"
+            argv = ["trace", "syscall", "--iterations", "5", "--json"]
+            assert main([*argv, str(path), *flags]) == 0
+            histograms[bool(flags)] = json.loads(path.read_text())[
+                "histograms"
+            ]
+        retained, lean = histograms[False], histograms[True]
+        for kind in (
+            "syscall_enter", "syscall_exit", "key_switch", "key_bank_switch",
+        ):
+            assert lean[kind] == retained[kind], kind
+        assert lean["key_switch"]["count"] == 30
+        assert lean["key_bank_switch"]["count"] == 10
 
     def test_run_traced_helper(self):
         from repro.bench.harness import run_traced
