@@ -18,6 +18,7 @@ Register operand conventions:
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 from repro.arch.registers import LR, XZR
@@ -51,13 +52,37 @@ PAUTH_CYCLES = 4
 
 _MASK64 = (1 << 64) - 1
 
-_OPCODE_IDS = {}
+#: Every mnemonic the ISA below can produce, sorted.  An encoding's
+#: opcode byte is the mnemonic's index here, so the bytes of a code page
+#: never depend on which instructions a process happened to encode first.
+_MNEMONICS = (
+    "add", "adr", "and", "autda", "autdb", "autia", "autia1716", "autiasp",
+    "autib", "autib1716", "autibsp", "b", "b.cond", "bfi", "bl", "blr",
+    "blraa", "blrab", "br", "braa", "brab", "cbnz", "cbz", "eor", "eret",
+    "hlt", "hostcall", "hvc", "isb", "ldp", "ldr", "lsl", "lsr", "mov",
+    "movimm", "movk", "movz", "mrs", "msr", "nop", "orr", "pacda", "pacdb",
+    "pacga", "pacia", "pacia1716", "paciasp", "pacib", "pacib1716",
+    "pacibsp", "ret", "retaa", "retab", "stp", "str", "sub", "subs", "svc",
+    "work", "xpacd", "xpaci",
+)
+
+_OPCODE_IDS = {name: index for index, name in enumerate(_MNEMONICS)}
 
 
 def _opcode_id(name):
-    if name not in _OPCODE_IDS:
-        _OPCODE_IDS[name] = len(_OPCODE_IDS) & 0xFF
-    return _OPCODE_IDS[name]
+    try:
+        return _OPCODE_IDS[name]
+    except KeyError:
+        raise ReproError(f"no opcode for mnemonic {name!r}") from None
+
+
+def _sysreg_word(name):
+    """A 16-bit operand word naming a system register.
+
+    CRC-32 rather than :func:`hash`, whose string hashing is salted per
+    process: MSR/MRS bytes must be the same in every run.
+    """
+    return zlib.crc32(name.encode()) & 0xFFFF
 
 
 def _s64(value):
@@ -905,7 +930,7 @@ class Msr(Instruction):
         cpu.write_sysreg_checked(self.sysreg, cpu.regs.read(self.rn))
 
     def operand_words(self):
-        return (hash(self.sysreg) & 0xFFFF, self.rn, 0)
+        return (_sysreg_word(self.sysreg), self.rn, 0)
 
     def text(self):
         return f"msr {self.sysreg}, x{self.rn}"
@@ -929,7 +954,7 @@ class Mrs(Instruction):
         cpu.regs.write(self.rd, cpu.read_sysreg_checked(self.sysreg))
 
     def operand_words(self):
-        return (hash(self.sysreg) & 0xFFFF, self.rd, 0)
+        return (_sysreg_word(self.sysreg), self.rd, 0)
 
     def text(self):
         return f"mrs x{self.rd}, {self.sysreg}"

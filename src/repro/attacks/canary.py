@@ -103,9 +103,9 @@ class CanaryLeakAttack(Attack):
             stack_chk_fail=chk_fail,
         )
         program = asm.assemble()
-        for address, instruction in program.instructions:
-            pa = cpu.mmu.translate(address, "x", 1)
-            cpu.mmu.phys.store_instruction(pa, instruction)
+        cpu.mmu.phys.store_program(
+            cpu.mmu.translate(program.base, "x", 1), program
+        )
         self._gadget = program.address_of("__gadget")
 
         # Phase 1: leak from the helper (deeper SP: call through a pad).

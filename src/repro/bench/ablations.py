@@ -432,9 +432,9 @@ def run_canary_ablation(iterations=60):
             isa.Ret(),
         )
         program = asm.assemble()
-        for address, instruction in program.instructions:
-            pa = cpu.mmu.translate(address, "x", 1)
-            cpu.mmu.phys.store_instruction(pa, instruction)
+        cpu.mmu.phys.store_program(
+            cpu.mmu.translate(program.base, "x", 1), program
+        )
         _, cycles = cpu.call(
             program.address_of("bench"), stack_top=stack_top,
             max_steps=200 * iterations + 1000,

@@ -1,9 +1,10 @@
 """Placing images into simulated memory.
 
 The loader maps each section's pages through the MMU (allocating
-physical frames from a bump allocator), writes data bytes, stores
-decoded instructions for text, and returns the per-section frame lists
-so the hypervisor can seal text/rodata or carve out XOM pages.
+physical frames from a bump allocator) with one table update per
+section, writes data bytes, stores each text section's program with
+one bulk store, and returns the per-section frame lists so the
+hypervisor can seal text/rodata or carve out XOM pages.
 """
 
 from __future__ import annotations
@@ -70,9 +71,7 @@ class ImageLoader:
             if section.data:
                 self.mmu.phys.write(base_pa, section.data)
             if section.program is not None:
-                for address, instruction in section.program.instructions:
-                    pa = base_pa + (address - section.base)
-                    self.mmu.phys.store_instruction(pa, instruction)
+                self.mmu.phys.store_program(base_pa, section.program)
         return loaded
 
     def map_stack(self, top_va, size, el0=False):

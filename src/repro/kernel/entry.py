@@ -95,19 +95,19 @@ def _frame_mac_panic(cpu):
 def _pad_to(asm, target_offset):
     """Fill with NOPs until the next emitted address hits the offset.
 
-    Only safe before any pseudo-instructions are emitted (MOVImm would
-    throw the count off); the vector stubs below use plain branches.
+    Every assembler item is a label or an instruction, so the emitted
+    count is the item count minus the label count (O(1)); the NOPs go
+    out in one :meth:`~repro.arch.assembler.Assembler.emit`.  Only safe
+    before any pseudo-instructions are emitted (MOVImm would throw the
+    count off); the vector stubs below use plain branches.
     """
-    emitted = sum(1 for kind, _ in asm._items if kind == "insn")
-    current = 4 * emitted
+    current = 4 * (len(asm._items) - len(asm._known_labels))
     if current > target_offset:
         raise ReproError(
             f"vector code overflows offset {target_offset:#x} "
             f"(at {current:#x})"
         )
-    while current < target_offset:
-        asm.emit(isa.Nop())
-        current += 4
+    asm.emit(*[isa.Nop() for _ in range((target_offset - current) // 4)])
 
 
 def _save_frame():

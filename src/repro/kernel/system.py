@@ -517,9 +517,7 @@ class System:
             first,
             Permissions(r_el0=True, x_el0=True, r_el1=True),
         )
-        for address, instruction in program.instructions:
-            pa = (first << 12) + (address - program.base)
-            self.mmu.phys.store_instruction(pa, instruction)
+        self.mmu.phys.store_program(first << 12, program)
         return program
 
     def map_user_stack(self):

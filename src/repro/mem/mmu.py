@@ -197,8 +197,7 @@ class MMU:
         low = va & ((1 << self.config.va_bits) - 1)
         first_vpn = low >> self.page_shift
         pages = (size + self.page_size - 1) >> self.page_shift
-        for index in range(pages):
-            table.map_page(first_vpn + index, frame_base + index, permissions)
+        table.map_pages(first_vpn, frame_base, pages, permissions)
 
     def frame_of(self, va):
         """Physical frame backing ``va`` (no permission check)."""

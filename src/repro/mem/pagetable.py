@@ -58,12 +58,18 @@ class Permissions:
         return cls(r_el0=True, w_el0=True, r_el1=True, w_el1=True)
 
 
-@dataclass(frozen=True)
 class Mapping:
-    """One stage-1 page mapping."""
+    """One stage-1 page mapping.
 
-    frame: int
-    permissions: Permissions
+    A plain slotted record: a boot installs about a thousand of them,
+    and only :attr:`frame` and :attr:`permissions` are ever read.
+    """
+
+    __slots__ = ("frame", "permissions")
+
+    def __init__(self, frame, permissions):
+        self.frame = frame
+        self.permissions = permissions
 
 
 class Stage1Table:
@@ -82,6 +88,24 @@ class Stage1Table:
         if not permissions.r_el1:
             permissions = replace(permissions, r_el1=True)
         self._entries[vpn] = Mapping(frame=frame, permissions=permissions)
+        GENERATION.bump()
+
+    def map_pages(self, first_vpn, first_frame, count, permissions):
+        """Map ``count`` consecutive pages onto consecutive frames.
+
+        The bulk form of :meth:`map_page`: EL1 read is forced once, the
+        table takes one update and :data:`GENERATION` moves once.
+        """
+        if count <= 0:
+            return
+        if not permissions.r_el1:
+            permissions = replace(permissions, r_el1=True)
+        self._entries.update(
+            [
+                (first_vpn + index, Mapping(first_frame + index, permissions))
+                for index in range(count)
+            ]
+        )
         GENERATION.bump()
 
     def unmap_page(self, vpn):

@@ -21,10 +21,13 @@ class Generation:
 
     Every mutation a host-side cache could observe bumps it: stage-1
     map/unmap, stage-2 frame edits or wholesale replacement, and code
-    stores, erases or data writes into code frames.  Caches stamp their
-    contents with :attr:`value` and drop them when it moves (analogous
-    to a TLB/I-cache invalidate).  One shared counter can only
-    over-invalidate, never serve a stale entry.
+    stores, erases or data writes into code frames.  The bulk forms,
+    :meth:`PhysicalMemory.store_program` and
+    :meth:`~repro.mem.pagetable.Stage1Table.map_pages`, bump it once
+    per call however many instructions or pages they place.  Caches
+    stamp their contents with :attr:`value` and drop them when it moves
+    (analogous to a TLB/I-cache invalidate).  One shared counter can
+    only over-invalidate, never serve a stale entry.
     """
 
     __slots__ = ("value",)
@@ -79,7 +82,16 @@ class PhysicalMemory:
         return bytes(out)
 
     def write(self, pa, data):
-        """Write ``data`` starting at physical address ``pa``."""
+        """Write ``data`` starting at physical address ``pa``.
+
+        Bumps :data:`GENERATION` once if any written frame holds code.
+        """
+        if self._copy_in(pa, data):
+            GENERATION.bump()
+
+    def _copy_in(self, pa, data):
+        """Copy ``data`` into the frames; True if one of them holds code."""
+        touched_code = False
         offset_in_data = 0
         size = len(data)
         while offset_in_data < size:
@@ -88,10 +100,10 @@ class PhysicalMemory:
             self._frame(frame_number)[offset:offset + chunk] = data[
                 offset_in_data:offset_in_data + chunk
             ]
-            if frame_number in self._code_frames:
-                GENERATION.bump()
+            touched_code = touched_code or frame_number in self._code_frames
             pa += chunk
             offset_in_data += chunk
+        return touched_code
 
     def read_u64(self, pa):
         """Read the little-endian doubleword at ``pa``.
@@ -137,6 +149,31 @@ class PhysicalMemory:
         self._code_frames.add(pa >> self.page_shift)
         GENERATION.bump()
         self.write(pa, instruction.encoding())
+
+    def store_program(self, pa, program):
+        """Place an assembled program with its base address at ``pa``.
+
+        The bulk form of :meth:`store_instruction` for a contiguous
+        :class:`~repro.arch.assembler.Program` (its size is four bytes
+        per instruction): the joined encodings are copied in with one
+        pass over the frames, every spanned frame becomes a code frame,
+        and :data:`GENERATION` moves exactly once for the whole program.
+        """
+        if pa % 4:
+            raise ReproError(f"instruction address {pa:#x} not 4-aligned")
+        items = program.instructions
+        if not items:
+            return
+        self._copy_in(pa, b"".join([insn.encoding() for _, insn in items]))
+        offset = pa - program.base
+        self._instructions.update(
+            [(address + offset, insn) for address, insn in items]
+        )
+        self._code_frames.update(
+            range(pa >> self.page_shift,
+                  ((pa + program.size - 1) >> self.page_shift) + 1)
+        )
+        GENERATION.bump()
 
     def fetch_instruction(self, pa):
         """Fetch the decoded instruction at ``pa`` (None if not code)."""

@@ -17,6 +17,7 @@ from conftest import DATA_BASE, STACK_TOP, BareMachine
 
 from repro import hotpath
 from repro.arch import isa
+from repro.arch.assembler import Assembler
 from repro.arch.pac import PACEngine
 from repro.arch.registers import PAuthKey
 from repro.errors import PermissionFault, TranslationFault
@@ -200,6 +201,9 @@ def _code_memory():
     return phys
 
 
+_PROGRAM = Assembler(0x1000).emit(isa.Nop(), isa.Ret()).assemble()
+
+
 def _mapped_mmu():
     mmu = MMU()
     mmu.map_range(DATA_BASE, 0x1000, 0x600, Permissions.kernel_data())
@@ -210,6 +214,10 @@ _GENERATION_CASES = [
     # (id, build target, action on it, bumps GENERATION?)
     ("stage1-map", Stage1Table,
      lambda t: t.map_page(5, 9, Permissions.kernel_data()), True),
+    ("stage1-map-pages", Stage1Table,
+     lambda t: t.map_pages(5, 9, 3, Permissions.kernel_data()), True),
+    ("stage1-map-no-pages", Stage1Table,
+     lambda t: t.map_pages(5, 9, 0, Permissions.kernel_data()), False),
     ("stage1-unmap", _mapped_stage1, lambda t: t.unmap_page(5), True),
     ("stage1-unmap-unmapped", Stage1Table, lambda t: t.unmap_page(5), False),
     ("stage1-lookup", _mapped_stage1, lambda t: t.lookup(5), False),
@@ -225,6 +233,8 @@ _GENERATION_CASES = [
      lambda m: m.translate(DATA_BASE, "r", 1), False),
     ("phys-store-instruction", PhysicalMemory,
      lambda p: p.store_instruction(0x1000, isa.Nop()), True),
+    ("phys-store-program", PhysicalMemory,
+     lambda p: p.store_program(0x1000, _PROGRAM), True),
     ("phys-erase-instruction", _code_memory,
      lambda p: p.erase_instruction(0x1000), True),
     ("phys-code-frame-write", _code_memory,
